@@ -28,18 +28,13 @@ With --journal-dir DIR, validates a results-journal directory written
 by a --journal sweep (exp/journal.hh): the procoup-journal/1 meta
 sidecar, and every framed record in the .journal/.wal files — frame
 magic, format version, FNV-1a payload checksum, and the JSON
-meta-header (label, fingerprint, threw class, error kind, retries) at
-the head of each record. A procoupd state directory is a journal
-directory plus *.plan spool files; those are validated as single
-kind-tagged plan-submit frames.
+meta-header (label, fingerprint, the reserved threw byte, error kind,
+retries) at the head of each record.
 
 With --sweep-report FILE, validates a harness --sweep-report document
 ("procoup-sweep/1" or "/2"): required keys, the compile_cache block,
-the optional journal/disk_cache blocks, the failures array (whose
-kinds must come from the error-kind taxonomy, including the daemon's
-"worker-lost"), and — for daemon-mode runs — the "daemon" block: all
-eleven counters present, non-negative, with replayed + executed equal
-to the point count.
+the optional journal/disk_cache blocks, and the failures array (whose
+kinds must come from the five-kind error taxonomy).
 
 Registered as a ctest (stats_schema_check) so `ctest -j` covers it.
 Documented in docs/INTERNALS.md ("Observability").
@@ -85,27 +80,12 @@ ERROR_KINDS = [
     "cycle-limit",
     "wall-clock-deadline",
     "invariant-violation",
-    "worker-crash",
-    "worker-timeout",
-    "worker-lost",
 ]
 
 # Results-journal frame constants (src/procoup/exp/serialize.hh).
 FRAME_MAGIC = 0x52464350  # "PCFR"
 FORMAT_VERSION = 1
 FRAME_HEADER = 4 + 4 + 8 + 8
-
-# Kind-tagged daemon frames (src/procoup/exp/service.hh).
-FRAME_KINDS = {
-    1: "plan-submit",
-    2: "point-lease",
-    3: "point-result",
-    4: "heartbeat",
-    5: "stream-ack",
-    6: "shutdown",
-    7: "plan-done",
-    8: "service-error",
-}
 
 BENCHMARKS = ["Matrix", "FFT", "LUD", "Model"]
 MACHINES = {
@@ -381,7 +361,7 @@ def validate_fuzz(path):
 
 
 def validate_sweep_report(path):
-    """A harness --sweep-report document, local or daemon-mode."""
+    """A harness --sweep-report document."""
     try:
         doc = json.load(open(path))
     except (OSError, json.JSONDecodeError) as e:
@@ -406,32 +386,6 @@ def validate_sweep_report(path):
         expect_keys(path + ".disk_cache", doc["disk_cache"],
                     {"dir": str, "compiles": int, "hits": int,
                      "stores": int, "corrupt": int})
-
-    if "daemon" in doc:
-        daemon = doc["daemon"]
-        counters = ["leases_issued", "leases_expired",
-                    "leases_reassigned", "heartbeats", "worker_lost",
-                    "results_streamed", "replayed", "executed",
-                    "reconnects", "compiles"]
-        expect_keys(path + ".daemon", daemon,
-                    dict({"socket": str}, **{k: int for k in counters}))
-        for k in counters:
-            if isinstance(daemon.get(k), int):
-                check(daemon[k] >= 0, path, f"daemon.{k} negative")
-        if all(isinstance(daemon.get(k), int)
-               for k in ("replayed", "executed")) and \
-           isinstance(doc.get("points"), int):
-            # Every point is committed exactly once per session,
-            # either replayed from the write-ahead journal or freshly
-            # executed.
-            check(daemon["replayed"] + daemon["executed"]
-                  == doc["points"], path,
-                  f"daemon replayed {daemon['replayed']} + executed "
-                  f"{daemon['executed']} != points {doc['points']}")
-        if isinstance(daemon.get("leases_issued"), int) and \
-           isinstance(daemon.get("executed"), int):
-            check(daemon["leases_issued"] >= daemon["executed"], path,
-                  "daemon executed more points than it leased")
 
     failed = doc.get("failed_points")
     failures = doc.get("failures")
@@ -514,8 +468,8 @@ def validate_journal_record(label, payload):
                                     for c in fp),
               label, f"malformed point fingerprint '{fp}'")
     if "threw" in head:
-        check(head["threw"] in (0, 1, 2, 3), label,
-              f"unknown threw class {head['threw']}")
+        check(head["threw"] == 0, label,
+              f"reserved threw byte is {head['threw']}, not 0")
     if "error_kind" in head:
         check(head["error_kind"] in ERROR_KINDS, label,
               f"unknown error kind '{head['error_kind']}'")
@@ -554,23 +508,6 @@ def validate_journal_dir(path):
             n += 1
     check(n > 0, path, "journal contains no records")
 
-    # procoupd state dirs also hold *.plan worker spools: exactly one
-    # kind-tagged plan-submit frame each.
-    for spool in sorted(glob.glob(os.path.join(path, "*.plan"))):
-        blob = open(spool, "rb").read()
-        payloads = list(iter_frames(spool, blob))
-        check(len(payloads) == 1, spool,
-              f"spool holds {len(payloads)} frames, expected 1")
-        for payload in payloads:
-            check(len(payload) >= 1, spool, "empty spool frame")
-            if payload:
-                kind = payload[0]
-                check(kind in FRAME_KINDS, spool,
-                      f"unknown frame kind {kind}")
-                check(FRAME_KINDS.get(kind) == "plan-submit", spool,
-                      f"spool frame is '{FRAME_KINDS.get(kind)}', "
-                      "expected 'plan-submit'")
-            n += 1
     return n
 
 

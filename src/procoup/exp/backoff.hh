@@ -5,14 +5,12 @@
  * @file
  * Bounded exponential backoff with deterministic jitter.
  *
- * One policy serves every retry site in the sweep engine: the
- * fail-safe --retry-faulted path (re-running a faulted point under a
- * reseeded fault plan) and the worker supervisor (respawning a
- * crashed or timed-out child). Delays grow exponentially from
- * baseDelayMs, are capped at maxDelayMs, and carry multiplicative
- * jitter in [1, 2) so a fleet of workers retrying the same hiccup
- * does not stampede in lockstep ("Is Parallel Programming Hard…",
- * PAPERS.md, on avoiding synchronized retry storms).
+ * The policy behind the fail-safe --retry-faulted path: re-running a
+ * faulted point under a reseeded fault plan. Delays grow
+ * exponentially from baseDelayMs, are capped at maxDelayMs, and carry
+ * multiplicative jitter in [1, 2) so pool threads retrying the same
+ * hiccup do not stampede in lockstep ("Is Parallel Programming
+ * Hard…", PAPERS.md, on avoiding synchronized retry storms).
  *
  * The jitter is *deterministic*: it is drawn from (seed, attempt) by
  * splitmix64, not from wall-clock or a global RNG, so a retried sweep

@@ -2,7 +2,9 @@
 
 #include <sys/stat.h>
 
+#include "procoup/config/validate.hh"
 #include "procoup/exp/serialize.hh"
+#include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
@@ -36,7 +38,8 @@ CompileCache::setDiskDir(const std::string& dir)
 }
 
 std::shared_ptr<const sched::CompileResult>
-CompileCache::diskLoad(const std::string& k)
+CompileCache::diskLoad(const std::string& k,
+                       const config::MachineConfig& machine)
 {
     std::string dir;
     {
@@ -68,6 +71,14 @@ CompileCache::diskLoad(const std::string& k)
     auto result = std::make_shared<sched::CompileResult>();
     if (!readCompileResult(r, result.get()) || !r.atEnd())
         return corrupt();
+    // Decodable is not runnable: an entry the Simulator would reject
+    // (say, an FU index beyond this machine) must not be served, or
+    // its CompileError would escape fail-safe and end the sweep.
+    try {
+        config::validateProgram(result->program, machine);
+    } catch (const CompileError&) {
+        return corrupt();
+    }
 
     std::lock_guard<std::mutex> lock(_mu);
     ++_stats.diskHits;
@@ -140,9 +151,9 @@ CompileCache::compile(const std::string& source,
     }
     if (owner) {
         try {
-            // Disk tier first: a prior process (or a sibling worker)
-            // may already have published this compilation.
-            if (auto from_disk = diskLoad(k)) {
+            // Disk tier first: a prior process may already have
+            // published this compilation.
+            if (auto from_disk = diskLoad(k, machine)) {
                 if (was_hit)
                     *was_hit = true;
                 promise.set_value(std::move(from_disk));

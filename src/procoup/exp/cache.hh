@@ -26,9 +26,11 @@
  * writers race benignly (last rename wins, both wrote identical
  * bytes) and a crashed writer leaves no visible entry. A truncated,
  * bit-flipped, wrong-version, or hash-colliding entry fails its
- * checksum/key check and is silently recompiled (and re-published) —
- * corruption can cost time, never correctness. Compile *errors* are
- * memoized in memory only, never on disk.
+ * checksum/key check, and a decoded program that fails
+ * config::validateProgram for this machine is refused too; either way
+ * it is silently recompiled (and re-published) — corruption can cost
+ * time, never correctness. Compile *errors* are memoized in memory
+ * only, never on disk.
  */
 
 #include <cstdint>
@@ -105,7 +107,7 @@ class CompileCache
         std::shared_future<std::shared_ptr<const sched::CompileResult>>;
 
     std::shared_ptr<const sched::CompileResult>
-    diskLoad(const std::string& key);
+    diskLoad(const std::string& key, const config::MachineConfig& machine);
     void diskStore(const std::string& key,
                    const sched::CompileResult& result);
 

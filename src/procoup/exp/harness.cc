@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "procoup/exp/service.hh"
-#include "procoup/exp/worker.hh"
 #include "procoup/fault/fault.hh"
 #include "procoup/sched/report.hh"
 #include "procoup/support/error.hh"
@@ -27,8 +25,6 @@ usage(const char* argv0)
         "       [--faults=INTENSITY] [--fault-seed=S]\n"
         "       [--fail-safe] [--retry-faulted] [--retries=N]\n"
         "       [--journal DIR] [--disk-cache DIR] [--no-disk-cache]\n"
-        "       [--isolate-workers] [--worker-timeout-ms=N]\n"
-        "       [--connect SOCK]\n"
         "see src/procoup/exp/harness.hh for flag semantics\n",
         argv0);
     std::exit(1);
@@ -51,7 +47,6 @@ HarnessOptions
 HarnessOptions::parse(int argc, char** argv)
 {
     HarnessOptions o;
-    o.rawArgv.assign(argv, argv + argc);
     if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
         o.diskCacheDir = env;
     bool no_disk_cache = false;
@@ -121,18 +116,6 @@ HarnessOptions::parse(int argc, char** argv)
             o.diskCacheDir = a.substr(13);
         } else if (a == "--no-disk-cache") {
             no_disk_cache = true;
-        } else if (a == "--isolate-workers") {
-            o.isolateWorkers = true;
-        } else if (a.rfind("--worker-timeout-ms=", 0) == 0) {
-            o.workerTimeoutMs = std::strtod(a.c_str() + 20, nullptr);
-            if (o.workerTimeoutMs <= 0.0)
-                usage(argv[0]);
-        } else if (a == "--connect") {
-            o.connectSocket = next();
-        } else if (a.rfind("--connect=", 0) == 0) {
-            o.connectSocket = a.substr(10);
-        } else if (a == "--worker") {
-            o.workerMode = true;
         } else {
             usage(argv[0]);
         }
@@ -212,23 +195,6 @@ formatSweepReport(const ExperimentPlan& plan, const SweepResult& result,
                     result.outcomes.size() - result.replayedPoints,
                     ", \"compiles\": ", result.cacheStats.compiles,
                     "}");
-    if (options.isolateWorkers)
-        s += ",\n\"isolate_workers\": true";
-    if (result.daemon.active)
-        s += strCat(",\n\"daemon\": {\"socket\": ",
-                    jsonQuote(options.connectSocket),
-                    ", \"leases_issued\": ", result.daemon.leasesIssued,
-                    ", \"leases_expired\": ", result.daemon.leasesExpired,
-                    ", \"leases_reassigned\": ",
-                    result.daemon.leasesReassigned,
-                    ", \"heartbeats\": ", result.daemon.heartbeats,
-                    ", \"worker_lost\": ", result.daemon.workerLost,
-                    ", \"results_streamed\": ",
-                    result.daemon.resultsStreamed,
-                    ", \"replayed\": ", result.daemon.replayed,
-                    ", \"executed\": ", result.daemon.executed,
-                    ", \"reconnects\": ", result.daemon.reconnects,
-                    ", \"compiles\": ", result.daemon.compiles, "}");
     if (failed) {
         s += strCat(",\n\"failed_points\": ", failed,
                     ",\n\"failures\": [");
@@ -288,29 +254,9 @@ runHarness(const ExperimentPlan& plan, const HarnessOptions& options,
     ropts.retryPolicy.maxAttempts = options.retries + 1;
     ropts.journalDir = options.journalDir;
     ropts.diskCacheDir = options.diskCacheDir;
-    ropts.isolateWorkers = options.isolateWorkers;
-    ropts.workerSpawnArgv = options.rawArgv;
-    ropts.workerTimeoutMs = options.workerTimeoutMs;
 
-    if (options.workerMode)
-        runWorkerLoop(to_run, ropts);  // serves points; never returns
-
-    SweepResult result;
-    if (!options.connectSocket.empty()) {
-        if (options.isolateWorkers || !options.journalDir.empty()) {
-            std::fprintf(stderr,
-                         "--connect is incompatible with "
-                         "--isolate-workers and --journal: the daemon "
-                         "owns isolation and durability\n");
-            return 1;
-        }
-        ClientOptions copts;
-        copts.socketPath = options.connectSocket;
-        result = runPlanOverSocket(to_run, ropts, copts);
-    } else {
-        SweepRunner runner(ropts);
-        result = runner.run(to_run);
-    }
+    SweepRunner runner(ropts);
+    const SweepResult result = runner.run(to_run);
 
     if (filtered) {
         // Single-point/CI mode: a standard summary instead of the

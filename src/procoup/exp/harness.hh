@@ -5,9 +5,9 @@
  * @file
  * Shared main() scaffolding for the experiment harnesses under
  * `bench/`. A harness builds an ExperimentPlan and calls
- * harnessMain(); everything else — flag parsing, the worker pool, the
+ * harnessMain(); everything else — flag parsing, the thread pool, the
  * compile cache, stats bundles, sweep reports — is implemented once
- * here.
+ * here. Every point runs in this process, on SweepRunner's pool.
  *
  * Flags every runner-based harness accepts:
  *
@@ -38,8 +38,7 @@
  *   --retry-faulted     with --fail-safe: retry a failed faulted
  *                       point under reseeded fault plans, bounded by
  *                       --retries with exponential backoff + jitter
- *   --retries=N         retry budget shared by --retry-faulted and
- *                       worker respawns (default 2)
+ *   --retries=N         retry budget of --retry-faulted (default 2)
  *   --journal DIR       write-ahead results journal: every completed
  *                       point is durably recorded in DIR; re-running
  *                       after a crash replays recorded points
@@ -48,23 +47,6 @@
  *                       processes and runs (default: the
  *                       PROCOUP_DISK_CACHE environment variable)
  *   --no-disk-cache     ignore --disk-cache and PROCOUP_DISK_CACHE
- *   --isolate-workers   shard points across supervised child
- *                       processes; a crashed or hung child becomes a
- *                       worker-crash / worker-timeout error record
- *   --worker-timeout-ms=N  per-point wall-clock budget under
- *                       --isolate-workers (default 120000)
- *   --connect SOCK      submit the plan to a running procoupd sweep
- *                       daemon on Unix socket SOCK instead of
- *                       executing locally; results stream back per
- *                       point and every output (rendering, bundle,
- *                       sweep report) is byte-identical to a local
- *                       run, modulo the report's "daemon" block.
- *                       Incompatible with --isolate-workers and
- *                       --journal: the daemon owns isolation and
- *                       durability on its side of the socket.
- *
- * (A hidden --worker flag turns the process into a point server for
- * --isolate-workers; it is appended by the supervisor, never typed.)
  *
  * Output determinism: the rendering callback runs after the sweep
  * completes, over outcomes in plan order, so harness output is
@@ -75,7 +57,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
@@ -103,8 +84,8 @@ struct HarnessOptions
     bool failSafe = false;
     bool retryFaulted = false;
 
-    /** Retry budget (--retries): attempts beyond the first for both
-     *  reseeded-fault retries and worker respawns. */
+    /** Retry budget (--retries): reseeded-fault retries beyond the
+     *  first attempt. */
     int retries = 2;
 
     /** --journal DIR ("" = no journal). */
@@ -112,20 +93,6 @@ struct HarnessOptions
 
     /** --disk-cache DIR / $PROCOUP_DISK_CACHE ("" = memory only). */
     std::string diskCacheDir;
-
-    bool isolateWorkers = false;
-    double workerTimeoutMs = 120000.0;
-
-    /** --connect SOCK: run the sweep on a procoupd daemon ("" =
-     *  local execution). */
-    std::string connectSocket;
-
-    /** Hidden --worker: serve points for a supervisor and exit. */
-    bool workerMode = false;
-
-    /** The argv this process was started with (verbatim): what the
-     *  worker supervisor re-executes, plus "--worker". */
-    std::vector<std::string> rawArgv;
 
     /**
      * Parse the common flags from argv (exits with usage on a

@@ -12,7 +12,6 @@
 
 #include "procoup/benchmarks/benchmarks.hh"
 #include "procoup/exp/journal.hh"
-#include "procoup/exp/worker.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
@@ -67,13 +66,38 @@ struct ScopedStopSignals
     struct sigaction oldInt, oldTerm;
 };
 
-} // namespace
-
 bool
 sweepStopRequested()
 {
     return g_stopSignal.load() != 0;
 }
+
+/** Rehydrate an outcome for @p point from @p rec. Restores stats,
+ *  memory, symbols, and schedule metadata — everything the render,
+ *  report, and analysis paths read — but not the instruction stream. */
+RunOutcome
+makeRunOutcome(const OutcomeRecord& rec, const SweepPoint* point)
+{
+    RunOutcome o;
+    o.point = point;
+    o.failed = rec.failed;
+    o.errorKind = static_cast<SimErrorKind>(rec.errorKind);
+    o.errorCycle = rec.errorCycle;
+    o.error = rec.error;
+    o.retries = static_cast<int>(rec.retries);
+    o.compileCached = rec.compileCached;
+    o.wallMs = rec.wallMs;
+    if (!rec.failed) {
+        o.result.stats = rec.stats;
+        o.result.memory = rec.memory;
+        o.result.compiled.program.symbols = rec.symbols;
+        o.result.compiled.program.memorySize = rec.memorySize;
+        o.result.compiled.funcInfo = rec.funcInfo;
+    }
+    return o;
+}
+
+} // namespace
 
 const RunOutcome&
 SweepResult::at(const std::string& label) const
@@ -212,28 +236,6 @@ makeOutcomeRecord(const RunOutcome& o, const std::string& fingerprint)
     return rec;
 }
 
-RunOutcome
-makeRunOutcome(const OutcomeRecord& rec, const SweepPoint* point)
-{
-    RunOutcome o;
-    o.point = point;
-    o.failed = rec.failed;
-    o.errorKind = static_cast<SimErrorKind>(rec.errorKind);
-    o.errorCycle = rec.errorCycle;
-    o.error = rec.error;
-    o.retries = static_cast<int>(rec.retries);
-    o.compileCached = rec.compileCached;
-    o.wallMs = rec.wallMs;
-    if (!rec.failed) {
-        o.result.stats = rec.stats;
-        o.result.memory = rec.memory;
-        o.result.compiled.program.symbols = rec.symbols;
-        o.result.compiled.program.memorySize = rec.memorySize;
-        o.result.compiled.funcInfo = rec.funcInfo;
-    }
-    return o;
-}
-
 SweepResult
 SweepRunner::run(const ExperimentPlan& plan)
 {
@@ -279,91 +281,46 @@ SweepRunner::run(const ExperimentPlan& plan)
     ScopedStopSignals stop_guard(journal_on);
     std::atomic<std::size_t> journaled{journal.loadedCount()};
 
-    // Called for every freshly executed point, on whichever thread
-    // finished it (append is thread-safe). Verify failures are *not*
-    // journaled: they must re-execute (and re-fail) on resume.
-    auto record = [&](std::size_t i) {
-        const RunOutcome& o = res.outcomes[i];
-        if (!journal_on || fps[i].empty())
-            return;
-        if (!o.error.empty() && !o.failed)
-            return;
-        journal.append(makeOutcomeRecord(o, fps[i]));
-        ++journaled;
-    };
-
+    // Runs on whichever thread claimed point i (append is
+    // thread-safe). Verify failures are *not* journaled: they must
+    // re-execute (and re-fail) on resume.
     auto work = [&](std::size_t i) {
         try {
-            res.outcomes[i] =
+            const RunOutcome& o = res.outcomes[i] =
                 executeSweepPoint(plan.points()[i], *_cache, _options);
-            record(i);
+            if (journal_on && !fps[i].empty() &&
+                (o.error.empty() || o.failed)) {
+                journal.append(makeOutcomeRecord(o, fps[i]));
+                ++journaled;
+            }
         } catch (...) {
             failures[i] = std::current_exception();
         }
     };
 
-    // ---- Worker isolation: shard pending points across supervised
-    // child processes. Tracer-carrying points stay in this process
-    // (their sink lives here); if not a single child can be spawned,
-    // fall through to the in-process pool.
-    bool ran_isolated = false;
-    if (_options.isolateWorkers && !_options.workerSpawnArgv.empty() &&
-        !pending.empty()) {
-        std::vector<std::size_t> isolatable;
-        std::vector<std::size_t> local;
-        for (std::size_t i : pending)
-            (plan.points()[i].tracer ? local : isolatable).push_back(i);
-
-        WorkerSupervisor sup(plan, _options, *_cache);
-        const int workers = static_cast<int>(std::min<std::size_t>(
-            res.jobs, isolatable.empty() ? 1 : isolatable.size()));
-        if (isolatable.empty() ||
-            sup.run(
-                isolatable, workers,
-                [&](std::size_t i, RunOutcome&& o) {
-                    res.outcomes[i] = std::move(o);
-                    record(i);
-                },
-                failures)) {
-            ran_isolated = true;
-            for (std::size_t i : local) {
-                if (sweepStopRequested())
-                    break;
-                work(i);
-            }
-        } else {
-            std::fprintf(stderr,
-                         "warning: --isolate-workers could not spawn "
-                         "any worker process; running in-process\n");
+    if (res.jobs <= 1 || pending.size() <= 1) {
+        // Inline: exactly the legacy serial loop, same thread.
+        for (std::size_t i : pending) {
+            if (sweepStopRequested())
+                break;
+            work(i);
         }
-    }
-
-    if (!ran_isolated) {
-        if (res.jobs <= 1 || pending.size() <= 1) {
-            // Inline: exactly the legacy serial loop, same thread.
-            for (std::size_t i : pending) {
-                if (sweepStopRequested())
-                    break;
-                work(i);
-            }
-        } else {
-            std::atomic<std::size_t> next{0};
-            const int workers =
-                std::min<std::size_t>(res.jobs, pending.size());
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (int w = 0; w < workers; ++w)
-                pool.emplace_back([&] {
-                    for (std::size_t n = next.fetch_add(1);
-                         n < pending.size(); n = next.fetch_add(1)) {
-                        if (sweepStopRequested())
-                            break;
-                        work(pending[n]);
-                    }
-                });
-            for (auto& t : pool)
-                t.join();
-        }
+    } else {
+        std::atomic<std::size_t> next{0};
+        const int workers = std::min<std::size_t>(res.jobs, pending.size());
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back([&] {
+                for (std::size_t n = next.fetch_add(1); n < pending.size();
+                     n = next.fetch_add(1)) {
+                    if (sweepStopRequested())
+                        break;
+                    work(pending[n]);
+                }
+            });
+        for (auto& t : pool)
+            t.join();
     }
 
     // ---- Interrupted drain: every in-flight point has finished and

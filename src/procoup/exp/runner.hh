@@ -31,12 +31,14 @@
  * bit-identically — no recompile, no re-simulation — and executes
  * only the remainder. Verify-failed points are deliberately not
  * journaled: they re-execute on resume so the failure reproduces.
+ * SIGINT/SIGTERM on a journaled sweep drain the pool (in-flight
+ * points finish and are journaled), close the log, and exit
+ * 128+signal.
  *
- * Isolation (isolateWorkers): pending points are sharded across
- * supervised child processes (exp/worker.hh); a crashed or hung child
- * becomes a structured error record (worker-crash / worker-timeout)
- * after bounded, jittered respawn retries instead of taking the sweep
- * down with it.
+ * Every point runs in this process. Fail-safe mode (failSafe) turns a
+ * simulation that throws SimError into a structured error record; a
+ * point that crashes the process outright (a simulator bug) stops the
+ * sweep, and the journal lets the rerun resume past what finished.
  */
 
 #include <cstdint>
@@ -87,7 +89,7 @@ struct RunnerOptions
      *  their failures are deterministic). */
     bool retryFaulted = false;
 
-    /** Backoff shared by --retry-faulted and worker respawns. */
+    /** Backoff of the --retry-faulted retries. */
     RetryPolicy retryPolicy;
 
     /** Write-ahead results journal directory ("" = no journal). */
@@ -95,16 +97,6 @@ struct RunnerOptions
 
     /** Persistent compile cache directory ("" = in-memory only). */
     std::string diskCacheDir;
-
-    /** Shard points across supervised child processes. Requires
-     *  workerSpawnArgv (the argv re-executing this binary; the hidden
-     *  --worker flag is appended by the supervisor). */
-    bool isolateWorkers = false;
-    std::vector<std::string> workerSpawnArgv;
-
-    /** Per-point wall-clock budget under isolateWorkers; a child
-     *  exceeding it is killed and the point retried per retryPolicy. */
-    double workerTimeoutMs = 120000.0;
 };
 
 /** What one executed sweep point produced. */
@@ -119,16 +111,12 @@ struct RunOutcome
     std::string error;
 
     /** The simulation threw SimError and failSafe captured it; result
-     *  is empty and errorKind/errorCycle/error describe the failure.
-     *  Worker crashes and timeouts land here too (WorkerCrash /
-     *  WorkerTimeout kinds), independent of failSafe — isolation
-     *  exists precisely to turn a dead process into data. */
+     *  is empty and errorKind/errorCycle/error describe the failure. */
     bool failed = false;
     SimErrorKind errorKind = SimErrorKind::Runtime;
     std::uint64_t errorCycle = 0;
 
-    /** Attempts beyond the first: reseeded-fault-plan retries, plus
-     *  worker respawns the supervisor spent on this point. */
+    /** Attempts beyond the first (reseeded-fault-plan retries). */
     int retries = 0;
 
     /** This point's compile was served from a cache tier. */
@@ -141,32 +129,6 @@ struct RunOutcome
     double wallMs = 0.0;
 };
 
-/**
- * Lease/heartbeat accounting of a daemon-executed sweep (exp/daemon.hh
- * fills it server-side; the --connect client receives it in the
- * plan-done frame and surfaces it as the sweep report's "daemon"
- * block). active stays false for local execution so existing reports
- * are byte-identical.
- */
-struct DaemonStats
-{
-    bool active = false;
-    std::uint32_t jobs = 0;            ///< daemon worker-pool size
-    std::uint64_t leasesIssued = 0;    ///< point assignments handed out
-    std::uint64_t leasesExpired = 0;   ///< deadlines missed (no heartbeat)
-    std::uint64_t leasesReassigned = 0;///< retries after a lost lease
-    std::uint64_t heartbeats = 0;      ///< worker heartbeats received
-    std::uint64_t workerLost = 0;      ///< points that became worker-lost
-    std::uint64_t resultsStreamed = 0; ///< point-result frames sent
-    std::uint64_t acksReceived = 0;    ///< stream-ack frames received
-    std::uint64_t replayed = 0;        ///< points served from the journal
-    std::uint64_t executed = 0;        ///< points freshly executed
-    std::uint64_t reconnects = 0;      ///< client-side reconnect count
-    std::uint64_t cacheHits = 0;       ///< daemon-side compile cache
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t compiles = 0;        ///< actual daemon-side compiles
-};
-
 /** All outcomes of one plan execution, in plan order. */
 struct SweepResult
 {
@@ -174,9 +136,6 @@ struct SweepResult
     CompileCache::Stats cacheStats;
     double wallMs = 0.0;  ///< whole-sweep wall-clock
     int jobs = 1;         ///< resolved worker count
-
-    /** Daemon-mode accounting (active only under --connect). */
-    DaemonStats daemon;
 
     /** Points restored from the journal instead of executed. */
     std::size_t replayedPoints = 0;
@@ -188,33 +147,15 @@ struct SweepResult
     std::size_t failedCount() const;
 };
 
-/**
- * Execute one point exactly as SweepRunner does: compile via
- * @p cache, simulate, verify, fail-safe capture with bounded
- * reseeded-fault retries. Exposed so worker children (exp/worker.hh)
- * run the identical path — byte-identical outcomes are the contract.
- */
+/** Execute one point exactly as SweepRunner does: compile via
+ *  @p cache, simulate, verify, fail-safe capture with bounded
+ *  reseeded-fault retries. */
 RunOutcome executeSweepPoint(const SweepPoint& point, CompileCache& cache,
                              const RunnerOptions& options);
 
-/**
- * True while a journaled sweep is draining after SIGINT/SIGTERM: the
- * in-process pool and the worker supervisor stop claiming new points,
- * in-flight points finish and are journaled, and SweepRunner::run
- * closes the write-ahead log cleanly before exiting 128+signal. Always
- * false for unjournaled sweeps (their signal disposition is untouched).
- */
-bool sweepStopRequested();
-
-/** Persistable snapshot of @p outcome (journal & worker protocol). */
+/** Persistable snapshot of @p outcome (a journal record). */
 OutcomeRecord makeOutcomeRecord(const RunOutcome& outcome,
                                 const std::string& fingerprint);
-
-/** Rehydrate an outcome for @p point from @p rec. Restores stats,
- *  memory, symbols, and schedule metadata — everything the render,
- *  report, and analysis paths read — but not the instruction stream. */
-RunOutcome makeRunOutcome(const OutcomeRecord& rec,
-                          const SweepPoint* point);
 
 class SweepRunner
 {

@@ -218,16 +218,13 @@ readStallCounts(ByteReader& r, sim::StallCounts* c)
     return !r.failed();
 }
 
-// Vector length guard: a corrupt length field must not turn into a
-// multi-gigabyte allocation before the payload checksum would have
-// caught it (worker-protocol frames are checksummed too, but decode
-// defensively everywhere).
-constexpr std::uint64_t kMaxVec = 1ull << 28;
-
+// Vector length guard: every element encodes to at least one byte, so
+// a length beyond the unread bytes is corrupt — reject it before it
+// turns into a multi-gigabyte allocation.
 bool
 checkedSize(ByteReader& r, std::uint64_t n)
 {
-    return !r.failed() && n <= kMaxVec;
+    return !r.failed() && n <= r.remaining();
 }
 
 } // namespace
@@ -458,7 +455,12 @@ writeOperation(ByteWriter& w, const isa::Operation& op)
 bool
 readOperation(ByteReader& r, isa::Operation* op)
 {
-    op->opcode = static_cast<isa::Opcode>(r.u16());
+    // Range-check the enums: an unknown opcode would otherwise reach
+    // validateProgram's opcode tables, which panic on it.
+    const std::uint16_t opcode = r.u16();
+    if (opcode > static_cast<std::uint16_t>(isa::Opcode::NOP))
+        return false;
+    op->opcode = static_cast<isa::Opcode>(opcode);
     op->srcs.resize(r.u8());
     for (auto& s : op->srcs)
         if (!readOperand(r, &s))
@@ -466,8 +468,13 @@ readOperation(ByteReader& r, isa::Operation* op)
     op->dsts.resize(r.u8());
     for (auto& d : op->dsts)
         d = readRegRef(r);
-    op->flavor.pre = static_cast<isa::MemPre>(r.u8());
-    op->flavor.post = static_cast<isa::MemPost>(r.u8());
+    const std::uint8_t pre = r.u8();
+    const std::uint8_t post = r.u8();
+    if (pre > static_cast<std::uint8_t>(isa::MemPre::Empty) ||
+        post > static_cast<std::uint8_t>(isa::MemPost::SetEmpty))
+        return false;
+    op->flavor.pre = static_cast<isa::MemPre>(pre);
+    op->flavor.post = static_cast<isa::MemPost>(post);
     op->branchTarget = r.u32();
     op->forkTarget = r.u32();
     op->markId = r.i64();
@@ -690,6 +697,10 @@ decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec)
     rec->threw = r.u8();
     rec->failed = r.b();
     rec->errorKind = r.u8();
+    if (rec->threw != 0 ||
+        rec->errorKind >
+            static_cast<std::uint8_t>(SimErrorKind::InvariantViolation))
+        return false;
     rec->errorCycle = r.u64();
     rec->error = r.str();
     rec->retries = r.u32();

@@ -5,20 +5,20 @@
  * @file
  * Binary serialization for the crash-safe execution layer.
  *
- * Three consumers share one byte format:
+ * Two consumers share one byte format:
  *  - the results journal (exp/journal.hh) persists executed sweep
  *    outcomes so interrupted sweeps resume instead of re-running;
  *  - the persistent compile cache (exp/cache.hh) publishes whole
- *    sched::CompileResult objects across processes and runs;
- *  - the out-of-process worker protocol (exp/worker.hh) ships one
- *    executed outcome per point back to the supervisor over a pipe.
+ *    sched::CompileResult objects across processes and runs.
  *
- * All three move bytes between processes on the *same* host (same
+ * Both move bytes between processes on the *same* host (same
  * toolchain, same endianness), so the encoding is native-endian
  * little-endian x86-64 with explicit fixed-width fields — simple,
  * dense, and versioned. kFormatVersion gates every reader: a version
  * bump silently invalidates old journals and cache entries (they are
- * rebuilt, never misread).
+ * rebuilt, never misread). Decoders also range-check lengths and enum
+ * fields, so even a checksum-valid payload with garbage inside is
+ * rejected rather than decoded into an impossible value.
  *
  * Every persisted artifact is wrapped in a self-delimiting frame:
  *
@@ -94,6 +94,7 @@ class ByteReader
 
     bool failed() const { return _failed; }
     bool atEnd() const { return _pos == _bytes.size(); }
+    std::size_t remaining() const { return _bytes.size() - _pos; }
 
   private:
     bool take(void* out, std::size_t n);
@@ -135,16 +136,16 @@ bool readCompileResult(ByteReader& r, sched::CompileResult* c);
  * render/report/analysis paths read from a RunOutcome, minus the
  * compiled instruction stream (replayed points never re-simulate, so
  * only the program's symbol table, needed for result readback, is
- * kept). One encoding serves the journal and the worker protocol.
+ * kept).
  */
 struct OutcomeRecord
 {
     std::string label;
     std::string pointFingerprint;
 
-    /** Exception class captured in a worker (0 = completed, possibly
-     *  as a fail-safe error record; 1 = SimError to rethrow; 2 =
-     *  CompileError to rethrow; 3 = other std::exception). */
+    /** Reserved; always 0. Kept so records written by earlier
+     *  versions decode without a format bump; a record with any other
+     *  value is rejected (its point re-executes). */
     std::uint8_t threw = 0;
 
     bool failed = false;
@@ -163,6 +164,9 @@ struct OutcomeRecord
 };
 
 std::string encodeOutcomeRecord(const OutcomeRecord& rec);
+
+/** False for a malformed payload, and for a record whose threw byte
+ *  is nonzero or whose errorKind names no current SimErrorKind. */
 bool decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec);
 
 /** Write @p bytes to @p path via same-directory temp file + rename;

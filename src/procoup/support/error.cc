@@ -14,9 +14,6 @@ simErrorKindName(SimErrorKind k)
       case SimErrorKind::CycleLimit:         return "cycle-limit";
       case SimErrorKind::WallClockDeadline:  return "wall-clock-deadline";
       case SimErrorKind::InvariantViolation: return "invariant-violation";
-      case SimErrorKind::WorkerCrash:        return "worker-crash";
-      case SimErrorKind::WorkerTimeout:      return "worker-timeout";
-      case SimErrorKind::WorkerLost:         return "worker-lost";
     }
     return "runtime";
 }

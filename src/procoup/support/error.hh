@@ -33,6 +33,8 @@ class CompileError : public std::runtime_error
  * Why a simulation was aborted. Structured so fail-safe sweep
  * execution (exp::SweepRunner) can classify a failed point into a
  * machine-readable error record instead of parsing what() strings.
+ * The values are persisted in journal records (exp/serialize.hh):
+ * append new kinds, never reorder.
  */
 enum class SimErrorKind
 {
@@ -42,13 +44,6 @@ enum class SimErrorKind
     CycleLimit,         ///< the per-run cycle budget was exhausted
     WallClockDeadline,  ///< the per-run wall-clock budget was exhausted
     InvariantViolation, ///< a --sanitize re-validation failed
-    WorkerCrash,        ///< an isolated worker process died (signal,
-                        ///< OOM kill, nonzero exit) executing the point
-    WorkerTimeout,      ///< an isolated worker exceeded the supervisor's
-                        ///< per-point wall-clock timeout and was killed
-    WorkerLost,         ///< a sweep-daemon lease on the point expired
-                        ///< (missed heartbeats / dead worker) and the
-                        ///< bounded reassignment budget ran out
 };
 
 /** Stable display/schema name, e.g. "wall-clock-deadline". */

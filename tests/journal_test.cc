@@ -1,7 +1,8 @@
 /** @file Crash-safe results journal: frame/record round-trips, torn
- *  and corrupted tails, fingerprint invalidation, bit-identical
+ *  and corrupted tails, decoder robustness against corrupt payloads
+ *  behind valid checksums, fingerprint invalidation, bit-identical
  *  replay with zero recompiles, and the deterministic retry policy
- *  that backs --retry-faulted and worker respawns. */
+ *  that backs --retry-faulted. */
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
 #include "procoup/exp/serialize.hh"
+#include "test_util.hh"
 
 namespace procoup {
 namespace {
@@ -71,8 +73,9 @@ TEST(Serialize, FrameRoundTripAndCorruptionDetection)
         std::string evil = bytes;
         evil[i] = static_cast<char>(evil[i] ^ 0x20);
         std::size_t off = 0;
-        if (exp::readFrame(evil, off, &got))
+        if (exp::readFrame(evil, off, &got)) {
             EXPECT_EQ(got, payload) << "flip at byte " << i;
+        }
     }
 
     // Two frames back to back parse in sequence.
@@ -123,6 +126,108 @@ TEST(Serialize, OutcomeRecordRoundTrip)
     EXPECT_EQ(back.memorySize, 64u);
 
     EXPECT_FALSE(exp::decodeOutcomeRecord("garbage", &back));
+}
+
+TEST(Serialize, OutcomeRecordDecoderValidatesErrorFields)
+{
+    exp::OutcomeRecord rec;
+    rec.label = "point-a";
+    rec.pointFingerprint = "deadbeefdeadbeef";
+    rec.failed = true;
+    rec.errorKind =
+        static_cast<std::uint8_t>(SimErrorKind::InvariantViolation);
+    exp::OutcomeRecord back;
+    EXPECT_TRUE(
+        exp::decodeOutcomeRecord(exp::encodeOutcomeRecord(rec), &back));
+
+    // Kinds past the taxonomy (5..7 were worker-crash, worker-timeout
+    // and worker-lost in earlier versions) must not replay as another
+    // kind.
+    for (int kind = 5; kind < 256; ++kind) {
+        rec.errorKind = static_cast<std::uint8_t>(kind);
+        EXPECT_FALSE(exp::decodeOutcomeRecord(
+            exp::encodeOutcomeRecord(rec), &back))
+            << kind;
+    }
+
+    // The threw byte is reserved: only 0 decodes.
+    rec.errorKind = 0;
+    for (int threw = 1; threw < 4; ++threw) {
+        rec.threw = static_cast<std::uint8_t>(threw);
+        EXPECT_FALSE(exp::decodeOutcomeRecord(
+            exp::encodeOutcomeRecord(rec), &back))
+            << threw;
+    }
+}
+
+TEST(Journal, RecordWithRetiredErrorKindReExecutes)
+{
+    const std::string dir = tempDir();
+    const auto plan = smallPlan();
+    {
+        exp::ResultsJournal j;
+        ASSERT_TRUE(j.open(dir, plan));
+        exp::OutcomeRecord rec;
+        rec.label = plan.points()[0].label;
+        rec.pointFingerprint = exp::pointFingerprint(plan.points()[0]);
+        rec.failed = true;
+        rec.errorKind = 5;  // worker-crash, before it was retired
+        rec.error = "worker process died";
+        j.append(rec);
+    }
+
+    exp::RunnerOptions ropts;
+    ropts.jobs = 1;
+    ropts.journalDir = dir;
+    const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
+    EXPECT_EQ(res.replayedPoints, 0u);
+    EXPECT_FALSE(res.outcomes[0].replayed);
+    EXPECT_FALSE(res.outcomes[0].failed);
+    EXPECT_EQ(res.failedCount(), 0u);
+}
+
+TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
+{
+    const auto plan = smallPlan();
+    const exp::SweepPoint& point = plan.points()[0];
+    exp::CompileCache cache;
+    const std::string payload =
+        exp::encodeOutcomeRecord(exp::makeOutcomeRecord(
+            exp::executeSweepPoint(point, cache, exp::RunnerOptions{}),
+            exp::pointFingerprint(point)));
+
+    const std::string dir = tempDir();
+    std::string wal;
+    {
+        exp::ResultsJournal j;
+        ASSERT_TRUE(j.open(dir, plan));
+        wal = j.walPath();
+    }
+
+    // Corrupt payload bytes, re-frame them with a valid checksum and
+    // load: the decoder must reject the record or yield one inside
+    // the taxonomy — never crash, over-allocate or trip a sanitizer.
+    Rng rng(20261018);
+    int rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string evil = testutil::mutateBytes(payload, rng);
+        exp::OutcomeRecord rec;
+        if (!exp::decodeOutcomeRecord(evil, &rec)) {
+            ++rejected;
+        } else {
+            EXPECT_EQ(rec.threw, 0u);
+            EXPECT_LE(rec.errorKind, static_cast<std::uint8_t>(
+                                         SimErrorKind::InvariantViolation));
+        }
+        if (i % 20 == 0) {
+            // The journal loader over the same bytes.
+            ASSERT_TRUE(exp::atomicWriteFile(wal, exp::frame(evil)));
+            exp::ResultsJournal j;
+            ASSERT_TRUE(j.open(dir, plan));
+            EXPECT_LE(j.loadedCount(), 1u);
+        }
+    }
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)

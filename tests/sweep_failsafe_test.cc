@@ -59,7 +59,9 @@ hazardPlan()
 TEST(SweepFailSafe, WithoutFailSafeTheSweepThrows)
 {
     const auto plan = hazardPlan();
-    exp::SweepRunner runner({.jobs = 1});
+    exp::RunnerOptions ropts;
+    ropts.jobs = 1;
+    exp::SweepRunner runner(ropts);
     EXPECT_THROW(runner.run(plan), SimError);
 }
 
@@ -98,7 +100,9 @@ TEST(SweepFailSafe, HazardousPointsBecomeErrorRecords)
                        core::SimMode::Coupled);
     clean.addBenchmark(testMachine(), benchmarks::byName("LUD"),
                        core::SimMode::Coupled);
-    exp::SweepRunner clean_runner({.jobs = 1});
+    exp::RunnerOptions clean_opts;
+    clean_opts.jobs = 1;
+    exp::SweepRunner clean_runner(clean_opts);
     const exp::SweepResult ref = clean_runner.run(clean);
     for (const auto& o : ref.outcomes) {
         const exp::RunOutcome& got = result.at(o.point->label);

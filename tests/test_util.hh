@@ -4,14 +4,18 @@
 /**
  * @file
  * Shared helpers for the test suites: the baseline machine's
- * function-unit numbering and small program-building shortcuts.
+ * function-unit numbering, small program-building shortcuts, and a
+ * seeded byte mutator for decoder robustness loops.
  *
  * Baseline machine layout (config::baseline()):
  *   clusters 0..3: fu 3c+0 = IU, 3c+1 = FPU, 3c+2 = MU
  *   cluster 4:     fu 12 = BR       cluster 5: fu 13 = BR
  */
 
+#include <string>
+
 #include "procoup/config/presets.hh"
+#include "procoup/support/rng.hh"
 
 namespace procoup {
 namespace testutil {
@@ -27,6 +31,17 @@ rr(int cluster, int index)
 {
     return isa::RegRef{static_cast<std::uint16_t>(cluster),
                        static_cast<std::uint16_t>(index)};
+}
+
+/** @p bytes with one to four seeded-random bytes overwritten by
+ *  random values (a corrupt payload behind a valid checksum). */
+inline std::string
+mutateBytes(std::string bytes, Rng& rng)
+{
+    const auto last = static_cast<std::int64_t>(bytes.size()) - 1;
+    for (auto n = rng.uniformInt(1, 4); n > 0 && last >= 0; --n)
+        bytes[rng.uniformInt(0, last)] = static_cast<char>(rng.next());
+    return bytes;
 }
 
 } // namespace testutil

@@ -52,23 +52,10 @@
  *                                      (default: $PROCOUP_DISK_CACHE)
  *   --no-disk-cache                    ignore --disk-cache and the
  *                                      environment default
- *   --isolate-workers                  run the point in a supervised
- *                                      child process; crashes become
- *                                      worker-crash error records
- *   --retries N                        respawn/retry budget (default 2)
- *   --worker-timeout-ms N              per-point budget under
- *                                      --isolate-workers
- *   --connect SOCK                     run the point on a procoupd
- *                                      sweep daemon listening on Unix
- *                                      socket SOCK; output is byte-
- *                                      identical to a local run.
- *                                      Incompatible with --trace,
- *                                      --trace-out, --isolate-workers
- *                                      and --journal
  *
  * The run itself goes through exp::SweepRunner as a one-point
  * ExperimentPlan sharing a compile cache with the dump path, exactly
- * like the bench/ harness grids.
+ * like the bench/ harness grids, in this process.
  *
  * Exit status: 0 on success, 1 on compile/simulation errors or a
  * failed verification.
@@ -89,8 +76,6 @@
 #include "procoup/exp/cache.hh"
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
-#include "procoup/exp/service.hh"
-#include "procoup/exp/worker.hh"
 #include "procoup/fault/fault.hh"
 #include "procoup/ir/frontend.hh"
 #include "procoup/isa/asmtext.hh"
@@ -168,19 +153,12 @@ struct Options
     bool fail_safe = false;
     std::string journal_dir;
     std::string disk_cache_dir;
-    bool isolate_workers = false;
-    int retries = 2;
-    double worker_timeout_ms = 120000.0;
-    bool worker_mode = false;
-    std::string connect_socket;
-    std::vector<std::string> raw_argv;
 };
 
 Options
 parseArgs(int argc, char** argv)
 {
     Options o;
-    o.raw_argv.assign(argv, argv + argc);
     if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
         o.disk_cache_dir = env;
     bool no_disk_cache = false;
@@ -271,22 +249,6 @@ parseArgs(int argc, char** argv)
             o.disk_cache_dir = next();
         } else if (a == "--no-disk-cache") {
             no_disk_cache = true;
-        } else if (a == "--isolate-workers") {
-            o.isolate_workers = true;
-        } else if (a == "--retries") {
-            o.retries = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (o.retries < 0)
-                usage(argv[0]);
-        } else if (a == "--worker-timeout-ms") {
-            o.worker_timeout_ms =
-                std::strtod(next().c_str(), nullptr);
-            if (o.worker_timeout_ms <= 0.0)
-                usage(argv[0]);
-        } else if (a == "--connect") {
-            o.connect_socket = next();
-        } else if (a == "--worker") {
-            o.worker_mode = true;
         } else if (!a.empty() && a[0] == '-') {
             usage(argv[0]);
         } else {
@@ -297,16 +259,6 @@ parseArgs(int argc, char** argv)
         o.disk_cache_dir.clear();
     if (o.source_file.empty() == o.benchmark.empty())
         usage(argv[0]);  // exactly one input
-    if (!o.connect_socket.empty() &&
-        (o.do_trace || !o.trace_out.empty() || o.isolate_workers ||
-         !o.journal_dir.empty())) {
-        std::fprintf(stderr,
-                     "--connect is incompatible with --trace/"
-                     "--trace-out (the daemon cannot stream trace "
-                     "events) and with --isolate-workers/--journal "
-                     "(the daemon owns isolation and durability)\n");
-        std::exit(1);
-    }
     return o;
 }
 
@@ -322,7 +274,7 @@ try {
             ? benchmarks::byName(o.benchmark).forMode(o.mode)
             : readFile(o.source_file);
 
-    if (o.dump_ir && !o.worker_mode) {
+    if (o.dump_ir) {
         ir::FrontendOptions fopts;
         fopts.forkClones =
             static_cast<int>(o.machine.arithClusters().size());
@@ -334,26 +286,23 @@ try {
     exp::CompileCache cache;
     if (!o.disk_cache_dir.empty())
         cache.setDiskDir(o.disk_cache_dir);
-    if (!o.worker_mode) {
-        // Compile once for the dump output; the runner's own compile
-        // of the same point is then a cache hit, never a second
-        // compilation. A worker child skips this: its stdout is the
-        // supervisor's, and it compiles lazily per served point.
-        const auto compiled =
-            cache.compile(source, o.machine, core::optionsFor(o.mode));
+    // Compile once for the dump output; the runner's own compile
+    // of the same point is then a cache hit, never a second
+    // compilation.
+    const auto compiled =
+        cache.compile(source, o.machine, core::optionsFor(o.mode));
 
-        if (o.dump_asm)
-            std::printf("%s\n",
-                        isa::printAssembly(compiled->program).c_str());
-        if (o.dump_schedule)
-            for (const auto& t : compiled->program.threads)
-                std::printf(
-                    "%s\n",
-                    sched::formatSchedule(t, o.machine).c_str());
-        if (o.diag)
-            std::printf("%s\n",
-                        sched::formatDiagnostics(*compiled).c_str());
-    }
+    if (o.dump_asm)
+        std::printf("%s\n",
+                    isa::printAssembly(compiled->program).c_str());
+    if (o.dump_schedule)
+        for (const auto& t : compiled->program.threads)
+            std::printf(
+                "%s\n",
+                sched::formatSchedule(t, o.machine).c_str());
+    if (o.diag)
+        std::printf("%s\n",
+                    sched::formatDiagnostics(*compiled).c_str());
 
     exp::ExperimentPlan plan("pcsim");
     exp::SweepPoint& point = plan.addSource(
@@ -376,15 +325,8 @@ try {
     ropts.jobs = o.jobs;
     ropts.cache = &cache;
     ropts.failSafe = o.fail_safe;
-    ropts.retryPolicy.maxAttempts = o.retries + 1;
     ropts.journalDir = o.journal_dir;
     ropts.diskCacheDir = o.disk_cache_dir;
-    ropts.isolateWorkers = o.isolate_workers;
-    ropts.workerSpawnArgv = o.raw_argv;
-    ropts.workerTimeoutMs = o.worker_timeout_ms;
-
-    if (o.worker_mode)
-        exp::runWorkerLoop(plan, ropts);  // never returns
 
     long traced = 0;
     std::vector<sim::TraceEvent> collected;
@@ -398,15 +340,8 @@ try {
         point.traceStalls = o.trace_stalls;
     }
 
-    exp::SweepResult sweep;
-    if (!o.connect_socket.empty()) {
-        exp::ClientOptions copts;
-        copts.socketPath = o.connect_socket;
-        sweep = exp::runPlanOverSocket(plan, ropts, copts);
-    } else {
-        exp::SweepRunner runner(ropts);
-        sweep = runner.run(plan);
-    }
+    exp::SweepRunner runner(ropts);
+    const exp::SweepResult sweep = runner.run(plan);
     const exp::RunOutcome& outcome = sweep.outcomes.front();
 
     if (outcome.failed) {
