@@ -16,7 +16,9 @@
  *
  * Any violation is minimized by the delta-debugging reducer and
  * printed as a ready-to-commit corpus witness. The summary is stable
- * "key: value" lines consumed by scripts/collect_fuzz.py.
+ * "key: value" lines consumed by scripts/collect_fuzz.py: counts on
+ * stdout, which is byte-identical between runs of the same soak, and
+ * the host timings wall_ms / programs_per_sec on stderr.
  *
  * Seed range and program count come from the environment (the
  * harness flag set is closed): PROCOUP_FUZZ_FIRST_SEED and
@@ -100,15 +102,17 @@ main(int argc, char** argv)
                             sweep.outcomes.size() -
                                 sweep.replayedPoints);
             }
-            std::printf("wall_ms: %s\n",
-                        fixed(sweep.wallMs, 1).c_str());
-            std::printf("programs_per_sec: %s\n",
-                        fixed(sweep.wallMs > 0.0
-                                  ? opts.programs * 1000.0 /
-                                        sweep.wallMs
-                                  : 0.0,
-                              1)
-                            .c_str());
+            // Host timings go to stderr: stdout stays byte-identical
+            // between runs.
+            std::fprintf(stderr, "wall_ms: %s\n",
+                         fixed(sweep.wallMs, 1).c_str());
+            std::fprintf(stderr, "programs_per_sec: %s\n",
+                         fixed(sweep.wallMs > 0.0
+                                   ? opts.programs * 1000.0 /
+                                         sweep.wallMs
+                                   : 0.0,
+                               1)
+                             .c_str());
             std::printf("mismatches_mode: %d\n", modeBad);
             std::printf("mismatches_fault: %d\n", faultBad);
             std::printf("mismatches_sim_error: %d\n", simBad);

@@ -4,8 +4,9 @@
 bench/fuzz_soak generates a contiguous range of random PCL programs
 (src/procoup/gen), runs every one across all machine/mode points clean
 and fault-injected on the sweep engine, differentially checks the
-results, and prints a stable "key: value" summary. This script runs
-that binary, parses the summary, counts the checked-in regression
+results, and prints a stable "key: value" summary (counts on stdout,
+host timings on stderr). This script runs that binary, parses both
+streams, counts the checked-in regression
 corpus (tests/corpus/), and emits a "procoup-fuzz/1" document:
 
   * throughput: generated programs per second through the full
@@ -30,15 +31,21 @@ import re
 import subprocess
 import sys
 
+# Summary lines the harness prints on stdout (deterministic counts).
 SUMMARY_KEYS = {
     "programs": int,
     "points": int,
-    "wall_ms": float,
-    "programs_per_sec": float,
     "mismatches_mode": int,
     "mismatches_fault": int,
     "mismatches_sim_error": int,
     "mismatches_total": int,
+}
+
+# Host timings, printed on stderr so stdout stays byte-identical
+# between runs.
+TIMING_KEYS = {
+    "wall_ms": float,
+    "programs_per_sec": float,
 }
 
 
@@ -47,12 +54,12 @@ def fail(msg):
     sys.exit(1)
 
 
-def parse_summary(text):
+def parse_summary(text, keys, stream):
     out = {}
-    for key, typ in SUMMARY_KEYS.items():
+    for key, typ in keys.items():
         m = re.search(rf"^{key}: ([-0-9.]+)$", text, re.M)
         if not m:
-            fail(f"harness output is missing '{key}:'")
+            fail(f"harness {stream} is missing '{key}:'")
         out[key] = typ(m.group(1))
     return out
 
@@ -80,7 +87,8 @@ def run_harness(args):
     if args.jobs:
         cmd += ["--jobs", str(args.jobs)]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    summary = parse_summary(proc.stdout)
+    summary = parse_summary(proc.stdout, SUMMARY_KEYS, "stdout")
+    summary.update(parse_summary(proc.stderr, TIMING_KEYS, "stderr"))
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout)
         fail(f"{args.harness} exited {proc.returncode} "

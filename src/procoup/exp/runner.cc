@@ -97,6 +97,26 @@ makeRunOutcome(const OutcomeRecord& rec, const SweepPoint* point)
     return o;
 }
 
+/** Do @p rec's per-FU and per-cluster stats vectors fit @p point's
+ *  machine? A checksum-valid record that disagrees (written for
+ *  another machine shape, or corrupted behind a valid checksum) must
+ *  not replay: the report and stats renderers index these vectors by
+ *  the machine's FU and cluster numbers. Failed records carry no
+ *  stats and always fit. */
+bool
+recordFitsMachine(const OutcomeRecord& rec, const SweepPoint& point)
+{
+    if (rec.failed)
+        return true;
+    const auto fus = static_cast<std::size_t>(point.machine.numFus());
+    const std::size_t clusters = point.machine.clusters.size();
+    const sim::RunStats& st = rec.stats;
+    return st.opsByFu.size() == fus && st.stallsByFu.size() == fus &&
+           st.stallsByCluster.size() == clusters &&
+           st.wbGrantsByCluster.size() == clusters &&
+           st.wbDenialsByCluster.size() == clusters;
+}
+
 } // namespace
 
 const RunOutcome&
@@ -266,7 +286,8 @@ SweepRunner::run(const ExperimentPlan& plan)
         const SweepPoint& p = plan.points()[i];
         if (journal_on && !p.tracer) {
             fps[i] = pointFingerprint(p);
-            if (const OutcomeRecord* rec = journal.find(fps[i])) {
+            const OutcomeRecord* rec = journal.find(fps[i]);
+            if (rec && recordFitsMachine(*rec, p)) {
                 res.outcomes[i] = makeRunOutcome(*rec, &p);
                 res.outcomes[i].replayed = true;
                 ++res.replayedPoints;

@@ -56,10 +56,9 @@ MemorySystem::schedule(std::uint64_t cycle, std::uint32_t addr)
 
     // Keep same-address accesses in issue order (arrival may not
     // overtake an earlier access to the same word).
-    auto it = lastArrival.find(addr);
-    if (it != lastArrival.end())
-        arrival = std::max(arrival, it->second);
-    lastArrival[addr] = arrival;
+    Word& w = words[addr];
+    arrival = std::max(arrival, w.lastArrival);
+    w.lastArrival = arrival;
 
     if (cfg.modelBankConflicts) {
         const std::uint32_t bank = addr % bankBusyUntil.size();
@@ -73,9 +72,16 @@ MemorySystem::schedule(std::uint64_t cycle, std::uint32_t addr)
 }
 
 void
+MemorySystem::launch(Transaction&& tx)
+{
+    inFlight.push_back(std::move(tx));
+    std::push_heap(inFlight.begin(), inFlight.end(), arrivesLater);
+}
+
+void
 MemorySystem::issueLoad(std::uint64_t cycle, int thread, std::uint32_t addr,
-                        isa::MemFlavor flavor,
-                        std::vector<isa::RegRef> dsts, int src_cluster)
+                        isa::MemFlavor flavor, const RegList& dsts,
+                        int src_cluster)
 {
     word(addr);  // range check at issue time
 
@@ -85,11 +91,16 @@ MemorySystem::issueLoad(std::uint64_t cycle, int thread, std::uint32_t addr,
     tx.addr = addr;
     tx.flavor = flavor;
     tx.thread = thread;
-    tx.dsts = std::move(dsts);
+    tx.dsts = dsts;
     tx.srcCluster = src_cluster;
     tx.issueCycle = cycle;
     tx.arrivalCycle = schedule(cycle, addr);
-    inFlight.emplace(tx.arrivalCycle, std::move(tx));
+
+    const auto t = static_cast<std::size_t>(thread);
+    if (t >= loadsByThread.size())
+        loadsByThread.resize(t + 1);
+    loadsByThread[t].push_back({tx.id, dsts});
+    launch(std::move(tx));
 }
 
 void
@@ -108,7 +119,7 @@ MemorySystem::issueStore(std::uint64_t cycle, int thread,
     tx.thread = thread;
     tx.issueCycle = cycle;
     tx.arrivalCycle = schedule(cycle, addr);
-    inFlight.emplace(tx.arrivalCycle, std::move(tx));
+    launch(std::move(tx));
 }
 
 bool
@@ -128,6 +139,14 @@ MemorySystem::perform(Transaction& tx, std::vector<CompletedLoad>& done)
     Word& w = word(tx.addr);
 
     if (tx.isLoad) {
+        auto& out = loadsByThread[static_cast<std::size_t>(tx.thread)];
+        for (auto& l : out) {
+            if (l.id == tx.id) {
+                l = std::move(out.back());
+                out.pop_back();
+                break;
+            }
+        }
         CompletedLoad cl;
         cl.thread = tx.thread;
         cl.dsts = tx.dsts;
@@ -187,25 +206,14 @@ MemorySystem::wakeParked(std::uint32_t addr,
 void
 MemorySystem::tick(std::uint64_t cycle, std::vector<CompletedLoad>& done)
 {
-    if (inFlight.empty() || inFlight.begin()->first > cycle)
-        return;
+    // Arrivals due by this cycle pop in (arrival, issue-id) order.
+    // Performing or parking one never launches another, so popping
+    // them one at a time visits exactly the sorted batch.
+    while (!inFlight.empty() && inFlight.front().arrivalCycle <= cycle) {
+        std::pop_heap(inFlight.begin(), inFlight.end(), arrivesLater);
+        Transaction tx = std::move(inFlight.back());
+        inFlight.pop_back();
 
-    // Arrivals for this cycle, in (arrival, issue-id) order.
-    std::vector<Transaction>& arrivals = arrivalScratch;
-    arrivals.clear();
-    for (auto it = inFlight.begin();
-         it != inFlight.end() && it->first <= cycle;) {
-        arrivals.push_back(std::move(it->second));
-        it = inFlight.erase(it);
-    }
-    std::sort(arrivals.begin(), arrivals.end(),
-              [](const Transaction& a, const Transaction& b) {
-                  if (a.arrivalCycle != b.arrivalCycle)
-                      return a.arrivalCycle < b.arrivalCycle;
-                  return a.id < b.id;
-              });
-
-    for (auto& tx : arrivals) {
         if (!preconditionMet(tx)) {
             ++_stats.parked;
             tx.parkedSince = cycle;
@@ -232,7 +240,7 @@ MemorySystem::nextArrivalCycle() const
 {
     if (inFlight.empty())
         return std::numeric_limits<std::uint64_t>::max();
-    return inFlight.begin()->first;
+    return inFlight.front().arrivalCycle;
 }
 
 bool
@@ -244,20 +252,12 @@ MemorySystem::idle() const
 bool
 MemorySystem::hasPendingWrite(int thread, const isa::RegRef& dst) const
 {
-    auto targets = [&](const Transaction& tx) {
-        if (!tx.isLoad || tx.thread != thread)
-            return false;
-        for (const auto& d : tx.dsts)
-            if (d == dst)
-                return true;
+    const auto t = static_cast<std::size_t>(thread);
+    if (t >= loadsByThread.size())
         return false;
-    };
-    for (const auto& [arrival, tx] : inFlight)
-        if (targets(tx))
-            return true;
-    for (const auto& [addr, q] : parked)
-        for (const auto& tx : q)
-            if (targets(tx))
+    for (const auto& l : loadsByThread[t])
+        for (const auto& d : l.dsts)
+            if (d == dst)
                 return true;
     return false;
 }
@@ -279,18 +279,59 @@ MemorySystem::sanitize(std::uint64_t cycle) const
                                       "precondition but was never "
                                       "woken"));
     }
-    for (const auto& [arrival, tx] : inFlight)
-        if (arrival != tx.arrivalCycle)
-            throw SimError(SimErrorKind::InvariantViolation, cycle,
-                           strCat("sanitize: in-flight index key ",
-                                  arrival, " disagrees with "
-                                  "transaction arrival ",
-                                  tx.arrivalCycle));
+    if (!std::is_heap(inFlight.begin(), inFlight.end(), arrivesLater))
+        throw SimError(SimErrorKind::InvariantViolation, cycle,
+                       "sanitize: in-flight queue is not ordered by "
+                       "(arrival, id)");
+
     if (_stats.hits + _stats.misses != _stats.accesses)
         throw SimError(SimErrorKind::InvariantViolation, cycle,
                        strCat("sanitize: memory hits (", _stats.hits,
                               ") + misses (", _stats.misses,
                               ") != accesses (", _stats.accesses, ")"));
+}
+
+void
+MemorySystem::sanitizeLoadIndex(std::uint64_t cycle) const
+{
+    // Same ids and destinations, thread by thread.
+    std::vector<std::vector<OutstandingLoad>> scanned(
+        loadsByThread.size());
+    auto note = [&](const Transaction& tx) {
+        const auto t = static_cast<std::size_t>(tx.thread);
+        if (t >= scanned.size())
+            throw SimError(SimErrorKind::InvariantViolation, cycle,
+                           strCat("sanitize: outstanding load of thread ",
+                                  tx.thread, " missing from the "
+                                  "per-thread load index"));
+        scanned[t].push_back({tx.id, tx.dsts});
+    };
+    for (const auto& tx : inFlight)
+        if (tx.isLoad)
+            note(tx);
+    for (const auto& [addr, q] : parked)
+        for (const auto& tx : q)
+            if (tx.isLoad)
+                note(tx);
+    auto by_id = [](const OutstandingLoad& a, const OutstandingLoad& b) {
+        return a.id < b.id;
+    };
+    for (std::size_t t = 0; t < scanned.size(); ++t) {
+        auto indexed = loadsByThread[t];
+        std::sort(indexed.begin(), indexed.end(), by_id);
+        std::sort(scanned[t].begin(), scanned[t].end(), by_id);
+        bool same = indexed.size() == scanned[t].size();
+        for (std::size_t i = 0; same && i < indexed.size(); ++i)
+            same = indexed[i].id == scanned[t][i].id &&
+                   indexed[i].dsts == scanned[t][i].dsts;
+        if (!same)
+            throw SimError(SimErrorKind::InvariantViolation, cycle,
+                           strCat("sanitize: thread ", t, " has ",
+                                  indexed.size(), " indexed outstanding "
+                                  "load(s) but a scan of the memory "
+                                  "system finds ", scanned[t].size(),
+                                  " (or different ones)"));
+    }
 }
 
 std::size_t

@@ -28,17 +28,23 @@
 #include "procoup/isa/operation.hh"
 #include "procoup/isa/program.hh"
 #include "procoup/isa/value.hh"
+#include "procoup/support/inline_vector.hh"
 #include "procoup/support/rng.hh"
 
 namespace procoup {
 namespace fault { class FaultInjector; }
 namespace sim {
 
+/** Destination registers of one operation (inline up to maxDests). */
+using RegList =
+    support::InlineVec<isa::RegRef,
+                       static_cast<std::size_t>(isa::Operation::maxDests)>;
+
 /** A load that finished this cycle and needs register writeback. */
 struct CompletedLoad
 {
     int thread = 0;
-    std::vector<isa::RegRef> dsts;
+    RegList dsts;
     isa::Value value;
     int srcCluster = 0;   ///< cluster of the issuing memory unit
     std::uint64_t issueCycle = 0;
@@ -64,7 +70,7 @@ class MemorySystem
 
     /** Issue a load at @p cycle; completion is reported by tick(). */
     void issueLoad(std::uint64_t cycle, int thread, std::uint32_t addr,
-                   isa::MemFlavor flavor, std::vector<isa::RegRef> dsts,
+                   isa::MemFlavor flavor, const RegList& dsts,
                    int src_cluster);
 
     /** Issue a store at @p cycle. */
@@ -101,7 +107,8 @@ class MemorySystem
      * Does an outstanding (in-flight or parked) load of @p thread
      * target register @p dst? Used by stall attribution: an issue
      * blocked on such a register is waiting on the memory system, not
-     * on a function-unit pipeline.
+     * on a function-unit pipeline. Looks only at @p thread's own
+     * outstanding loads; O(1) when it has none.
      */
     bool hasPendingWrite(int thread, const isa::RegRef& dst) const;
 
@@ -121,11 +128,19 @@ class MemorySystem
     /**
      * Sanitizer re-validation (--sanitize): every parked reference must
      * have an unmet precondition, park queues must be non-empty, the
-     * in-flight index key must match each transaction's arrival cycle,
-     * and hit/miss counts must sum to accesses. Throws
-     * SimError(InvariantViolation) citing @p cycle on failure.
+     * in-flight queue must be a heap on (arrival, id), and hit/miss
+     * counts must sum to accesses. Throws SimError(InvariantViolation)
+     * citing @p cycle on failure.
      */
     void sanitize(std::uint64_t cycle) const;
+
+    /**
+     * Sanitizer check of the per-thread outstanding-load index: each
+     * thread's entry must list exactly the loads (ids and destination
+     * registers) that a scan of the in-flight and parked references
+     * finds for it. Throws SimError(InvariantViolation) on mismatch.
+     */
+    void sanitizeLoadIndex(std::uint64_t cycle) const;
 
     const MemoryStats& stats() const { return _stats; }
 
@@ -139,6 +154,9 @@ class MemorySystem
     {
         isa::Value value;
         bool full = true;
+        /** Same-address ordering fence: the latest arrival scheduled
+         *  to this word (0 before any access, which fences nothing). */
+        std::uint64_t lastArrival = 0;
     };
 
     struct Transaction
@@ -149,12 +167,31 @@ class MemorySystem
         isa::Value storeValue;
         isa::MemFlavor flavor;
         int thread = 0;
-        std::vector<isa::RegRef> dsts;
+        RegList dsts;
         int srcCluster = 0;
         std::uint64_t issueCycle = 0;
         std::uint64_t arrivalCycle = 0;
         std::uint64_t parkedSince = 0;
     };
+
+    /** A load not yet performed, indexed under its thread. */
+    struct OutstandingLoad
+    {
+        std::uint64_t id = 0;
+        RegList dsts;
+    };
+
+    /** Heap order for inFlight: true when @p a arrives after @p b
+     *  (std heap algorithms keep the earliest (arrival, id) on top). */
+    static bool arrivesLater(const Transaction& a, const Transaction& b)
+    {
+        if (a.arrivalCycle != b.arrivalCycle)
+            return a.arrivalCycle > b.arrivalCycle;
+        return a.id > b.id;
+    }
+
+    /** Queue @p tx in flight at its scheduled arrival cycle. */
+    void launch(Transaction&& tx);
 
     Word& word(std::uint32_t addr);
     const Word& word(std::uint32_t addr) const;
@@ -178,20 +215,25 @@ class MemorySystem
 
     std::uint64_t nextId = 0;
 
-    /** In flight, ordered by (arrivalCycle, id). */
-    std::multimap<std::uint64_t, Transaction> inFlight;
+    /**
+     * In flight: a binary min-heap on (arrivalCycle, id) in a vector
+     * that keeps its capacity, so an access allocates nothing and
+     * tick() pops each cycle's arrivals in order without sorting.
+     */
+    std::vector<Transaction> inFlight;
 
     /** Parked waiters per address, in arrival order. */
     std::map<std::uint32_t, std::deque<Transaction>> parked;
 
-    /** Per-address ordering fence (last scheduled arrival). */
-    std::map<std::uint32_t, std::uint64_t> lastArrival;
+    /**
+     * Outstanding (in-flight or parked) loads by thread id, in no
+     * particular order: hasPendingWrite() reads only its thread's
+     * entry, and a thread with no loads out costs one size check.
+     */
+    std::vector<std::vector<OutstandingLoad>> loadsByThread;
 
     /** Per-bank last service cycle (bank-conflict extension). */
     std::vector<std::uint64_t> bankBusyUntil;
-
-    /** Per-tick arrival scratch (member to keep its capacity). */
-    std::vector<Transaction> arrivalScratch;
 
     /** Optional fault injection hook (not owned; null when off). */
     fault::FaultInjector* faults = nullptr;

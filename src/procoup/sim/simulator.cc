@@ -265,7 +265,8 @@ Simulator::executeIssue(const IssueDecision& d)
                                   " in thread ", t.id()));
         mem->issueLoad(_cycle, t.id(),
                        static_cast<std::uint32_t>(addr), op.flavor,
-                       op.dsts, fu.cluster);
+                       RegList(op.dsts.begin(), op.dsts.end()),
+                       fu.cluster);
         break;
       }
       case Opcode::ST: {
@@ -345,8 +346,12 @@ void
 Simulator::enqueueWriteback(int thread, const isa::RegRef& dst,
                             const isa::Value& value, int src_cluster)
 {
-    wbByThread[static_cast<std::size_t>(thread)].push_back(
-        {dst, value, src_cluster});
+    auto& q = wbByThread[static_cast<std::size_t>(thread)];
+    if (q.empty())
+        wbActive.insert(
+            std::lower_bound(wbActive.begin(), wbActive.end(), thread),
+            thread);
+    q.push_back({dst, value, src_cluster});
     ++wbCount;
 }
 
@@ -359,10 +364,12 @@ Simulator::doWriteback()
     // Priority: thread id (spawn order), then enqueue order — the
     // queues are per-thread FIFOs, so draining them in thread order
     // visits entries exactly as the old global (thread, age) sort did.
-    for (std::size_t th = 0; th < wbByThread.size(); ++th) {
+    // wbActive lists exactly the non-empty queues in that order; it is
+    // compacted in place as queues drain.
+    std::size_t live = 0;
+    for (const int id : wbActive) {
+        const auto th = static_cast<std::size_t>(id);
         auto& q = wbByThread[th];
-        if (q.empty())
-            continue;
         std::size_t keep = 0;
         for (std::size_t i = 0; i < q.size(); ++i) {
             WbEntry& e = q[i];
@@ -385,7 +392,10 @@ Simulator::doWriteback()
             }
         }
         q.resize(keep);
+        if (keep > 0)
+            wbActive[live++] = id;
     }
+    wbActive.resize(live);
     _stats.writebackStallCycles += wbCount;
 }
 
@@ -824,7 +834,10 @@ Simulator::sanitizeCheck() const
                                   stallCauseName(
                                       static_cast<StallCause>(k))));
 
-    // (b) Pipeline and writeback population counters.
+    // (b) Pipeline and writeback population counters, and the two
+    // indexes that let the cycle loop skip idle threads: the
+    // active-writeback list and the memory system's per-thread
+    // outstanding-load index.
     std::size_t wheelPop = 0;
     for (const auto& b : wheel)
         wheelPop += b.size();
@@ -834,13 +847,24 @@ Simulator::sanitizeCheck() const
                               wheelPop, " result(s) but inFlightCount "
                               "is ", inFlightCount));
     std::size_t wbPop = 0;
-    for (const auto& q : wbByThread)
-        wbPop += q.size();
+    std::vector<int> nonEmpty;
+    for (std::size_t th = 0; th < wbByThread.size(); ++th) {
+        wbPop += wbByThread[th].size();
+        if (!wbByThread[th].empty())
+            nonEmpty.push_back(static_cast<int>(th));
+    }
     if (wbPop != wbCount)
         throw SimError(SimErrorKind::InvariantViolation, _cycle,
                        strCat("sanitize: writeback queues hold ",
                               wbPop, " entry(ies) but wbCount is ",
                               wbCount));
+    if (nonEmpty != wbActive)
+        throw SimError(SimErrorKind::InvariantViolation, _cycle,
+                       strCat("sanitize: active-writeback list names ",
+                              wbActive.size(), " thread(s), but ",
+                              nonEmpty.size(), " thread(s) have queued "
+                              "writebacks (or the list is unsorted)"));
+    mem->sanitizeLoadIndex(_cycle);
 
     // (c) Scoreboard presence bits: every cleared bit must have a
     // pending producer — a result in the wheel, a queued writeback,

@@ -24,7 +24,8 @@
  * docs/INTERNALS.md, "Simulator hot path"): issue selection probes a
  * per-instruction slot index instead of rescanning instruction rows,
  * pipeline completions sit in a latency-bucketed wheel, writebacks
- * live in per-thread FIFO queues (no per-cycle sort), and spans of
+ * live in per-thread FIFO queues (no per-cycle sort) of which only
+ * the non-empty ones are visited, and spans of
  * quiescent cycles — every unit stalled, only memory or pipeline
  * timers pending — are fast-forwarded in one step with their stall
  * accounting bulk-charged.
@@ -52,11 +53,6 @@ namespace sim {
 
 /** Resolved source values of one operation (inline up to FORK's max). */
 using ValueList = support::InlineVec<isa::Value, 4>;
-
-/** Destination registers of one operation (inline up to maxDests). */
-using RegList =
-    support::InlineVec<isa::RegRef,
-                       static_cast<std::size_t>(isa::Operation::maxDests)>;
 
 /**
  * Per-run execution budgets (fail-safe sweep execution). Zero means
@@ -352,6 +348,13 @@ class Simulator
      */
     std::vector<std::vector<WbEntry>> wbByThread;
     std::size_t wbCount = 0;
+
+    /**
+     * Ids of the threads whose writeback queue is non-empty, ascending.
+     * doWriteback() walks only these — the threads with queued writes,
+     * not every thread ever spawned — in the same thread-id order.
+     */
+    std::vector<int> wbActive;
 
     std::uint64_t _cycle = 0;
     std::uint64_t lastProgressCycle = 0;

@@ -157,6 +157,32 @@ TEST(FaultInjection, OptimizedMatchesReferenceUnderFaults)
             << "memory diverged at " << a;
 }
 
+/** The sanitizer's index checks (active-writeback list, per-thread
+ *  outstanding-load index) hold throughout a thread-heavy run whose
+ *  memory references are delayed, reordered and parked by faults, on
+ *  the Shared-Bus interconnect so writebacks queue across cycles. */
+TEST(FaultInjection, SanitizerPassesLudCoupledUnderFaults)
+{
+    auto machine = config::withMem1(config::baseline());
+    machine.interconnect = config::InterconnectScheme::SharedBus;
+    const auto& bench = benchmarks::byName("LUD");
+    core::CoupledNode node(machine);
+    const auto prog = node.compile(bench.forMode(core::SimMode::Coupled),
+                                   core::SimMode::Coupled)
+                          .program;
+
+    sim::SimOptions opts;
+    opts.faults = fault::FaultPlan::atIntensity(1.0, 42);
+    const sim::RunStats plain = runWith(machine, prog, opts);
+    opts.sanitizeEveryCycles = 64;
+    sim::RunStats sanitized;
+    EXPECT_NO_THROW(sanitized = runWith(machine, prog, opts));
+    EXPECT_GT(sanitized.faults.totalEvents(), 0u);
+    EXPECT_GT(sanitized.threadsSpawned, 1000u);
+    EXPECT_GT(sanitized.writebackStallCycles, 0u);
+    EXPECT_TRUE(plain == sanitized);
+}
+
 TEST(FaultInjection, CycleCapThrowsStructuredError)
 {
     const auto machine = config::withMem1(config::baseline());

@@ -186,6 +186,67 @@ TEST(Journal, RecordWithRetiredErrorKindReExecutes)
     EXPECT_EQ(res.failedCount(), 0u);
 }
 
+/** A checksum-valid record whose stats vectors do not fit the
+ *  point's machine (one entry per FU, one per cluster) is treated as
+ *  absent: the point re-executes rather than replaying stats the
+ *  renderers would index past the machine's units. */
+TEST(Journal, RecordWithMisshapenStatsReExecutes)
+{
+    const auto plan = smallPlan();
+    const exp::SweepPoint& point = plan.points()[0];
+    const std::size_t fus =
+        static_cast<std::size_t>(point.machine.numFus());
+    const std::size_t clusters = point.machine.clusters.size();
+    exp::CompileCache cache;
+    const exp::OutcomeRecord good = exp::makeOutcomeRecord(
+        exp::executeSweepPoint(point, cache, exp::RunnerOptions{}),
+        exp::pointFingerprint(point));
+    ASSERT_EQ(good.stats.opsByFu.size(), fus);
+    ASSERT_EQ(good.stats.stallsByCluster.size(), clusters);
+
+    using Mutate = void (*)(sim::RunStats&);
+    const Mutate mutations[] = {
+        [](sim::RunStats& s) { s.opsByFu.push_back(0); },
+        [](sim::RunStats& s) { s.opsByFu.pop_back(); },
+        [](sim::RunStats& s) { s.stallsByFu.push_back({}); },
+        [](sim::RunStats& s) { s.stallsByFu.pop_back(); },
+        [](sim::RunStats& s) { s.stallsByCluster.push_back({}); },
+        [](sim::RunStats& s) { s.wbGrantsByCluster.pop_back(); },
+        [](sim::RunStats& s) { s.wbDenialsByCluster.push_back(0); },
+    };
+    for (const Mutate mutate : mutations) {
+        const std::string dir = tempDir();
+        {
+            exp::ResultsJournal j;
+            ASSERT_TRUE(j.open(dir, plan));
+            exp::OutcomeRecord bad = good;
+            mutate(bad.stats);
+            j.append(bad);
+        }
+        exp::RunnerOptions ropts;
+        ropts.jobs = 1;
+        ropts.journalDir = dir;
+        const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
+        EXPECT_EQ(res.replayedPoints, 0u);
+        EXPECT_FALSE(res.outcomes[0].replayed);
+        EXPECT_TRUE(res.outcomes[0].result.stats == good.stats);
+    }
+
+    // The unmodified record still replays.
+    const std::string dir = tempDir();
+    {
+        exp::ResultsJournal j;
+        ASSERT_TRUE(j.open(dir, plan));
+        j.append(good);
+    }
+    exp::RunnerOptions ropts;
+    ropts.jobs = 1;
+    ropts.journalDir = dir;
+    const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
+    EXPECT_EQ(res.replayedPoints, 1u);
+    EXPECT_TRUE(res.outcomes[0].replayed);
+}
+
 TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
 {
     const auto plan = smallPlan();

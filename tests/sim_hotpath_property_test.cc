@@ -405,6 +405,46 @@ TEST(SimHotpathProperty, OptimizedMatchesReferenceSimulator)
                        << deadlocks << ")";
 }
 
+/** Writeback arbitration among hundreds of threads: the paper's
+ *  thread-heavy benchmarks in Coupled mode on the two narrowest
+ *  interconnects, where writes queue and contend across many threads
+ *  whose ids are far from contiguous by the time they write back (the
+ *  random programs above spawn only a few). */
+TEST(SimHotpathProperty, ManyThreadWritebackMatchesReference)
+{
+    const config::InterconnectScheme schemes[] = {
+        config::InterconnectScheme::SharedBus,
+        config::InterconnectScheme::SinglePort,
+    };
+    for (const char* name : {"LUD", "FFT", "Model"}) {
+        for (const auto scheme : schemes) {
+            auto machine = config::baseline();
+            machine.interconnect = scheme;
+            const auto& bench = benchmarks::byName(name);
+            core::CoupledNode node(machine);
+            const isa::Program prog =
+                node.compile(bench.forMode(core::SimMode::Coupled),
+                             core::SimMode::Coupled)
+                    .program;
+            const std::string what =
+                strCat(name, " on ", config::interconnectSchemeName(scheme));
+
+            const Observed fast = observe<sim::Simulator>(machine, prog);
+            const Observed ref =
+                observe<simtest::SlowReferenceSimulator>(machine, prog);
+            ASSERT_FALSE(fast.capped || fast.threw) << what << fast.error;
+            ASSERT_FALSE(ref.capped || ref.threw) << what << ref.error;
+            EXPECT_GT(fast.stats.writebackStallCycles, 0u)
+                << what << ": no writeback ever waited for a port";
+            EXPECT_TRUE(fast.stats == ref.stats)
+                << what << ": RunStats diverged (cycles "
+                << fast.stats.cycles << " vs " << ref.stats.cycles << ")";
+            EXPECT_TRUE(fast.memory == ref.memory)
+                << what << ": memory image diverged";
+        }
+    }
+}
+
 /** The conservation identity holds on the fast-forward path too
  *  (high memory latency ⇒ long quiescent spans are bulk-charged). */
 TEST(SimHotpathProperty, StallConservationAcrossFastForward)

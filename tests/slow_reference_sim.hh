@@ -437,7 +437,8 @@ class SlowReferenceSimulator
                                       " in thread ", t.id()));
             mem->issueLoad(_cycle, t.id(),
                            static_cast<std::uint32_t>(addr), op.flavor,
-                           op.dsts, fu.cluster);
+                           sim::RegList(op.dsts.begin(), op.dsts.end()),
+                           fu.cluster);
             break;
           }
           case Opcode::ST: {
