@@ -110,11 +110,24 @@ def main():
                          "SIGKILL; 'term' tests the graceful "
                          "flush-and-exit drain (expects rc 143)")
     args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="procoup_chaos_",
+                                     ignore_cleanup_errors=True) as work:
+        rc = chaos(args, work)
+        if rc != 0:
+            # Keep a failed run's journal and outputs for inspection:
+            # move them out of the directory the context removes.
+            kept = work + "_failed"
+            os.rename(work, kept)
+            print(f"kept {kept}", file=sys.stderr)
+    return rc
+
+
+def chaos(args, work):
     chaos_signal = (signal.SIGKILL if args.signal == "kill"
                     else signal.SIGTERM)
 
     rng = random.Random(args.seed)
-    work = tempfile.mkdtemp(prefix="procoup_chaos_")
     jdir = os.path.join(work, "journal")
     base_env = dict(os.environ,
                     PROCOUP_FUZZ_PROGRAMS=str(args.programs),

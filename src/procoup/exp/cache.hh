@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Two-tier compile cache for experiment sweeps.
+ * In-memory compile cache for experiment sweeps.
  *
  * Many sweep points differ only in runtime knobs — interconnect
  * scheme, memory model, arbitration policy, active-set size — that
@@ -18,19 +18,12 @@
  * under a race. Results are immutable (shared_ptr<const CompileResult>)
  * and safe to read from any thread.
  *
- * Persistence (setDiskDir): an optional on-disk, content-addressed
- * second tier shared across processes and runs. An entry lives at
- * <dir>/<fnv1a64(key)>.pcc as a checksummed frame (exp/serialize.hh)
- * holding the full key string plus the serialized CompileResult;
- * publishing goes through a temp file + atomic rename, so concurrent
- * writers race benignly (last rename wins, both wrote identical
- * bytes) and a crashed writer leaves no visible entry. A truncated,
- * bit-flipped, wrong-version, or hash-colliding entry fails its
- * checksum/key check, and a decoded program that fails
- * config::validateProgram for this machine is refused too; either way
- * it is silently recompiled (and re-published) — corruption can cost
- * time, never correctness. Compile *errors* are memoized in memory
- * only, never on disk.
+ * Compile *errors* are memoized too: every caller of a key whose
+ * compilation threw rethrows the same CompileError.
+ *
+ * The cache lives for one process. A sweep that must survive a crash
+ * resumes from its results journal (exp/journal.hh), which replays
+ * finished points without compiling them again.
  */
 
 #include <cstdint>
@@ -52,17 +45,10 @@ class CompileCache
     struct Stats
     {
         std::uint64_t hits = 0;
+
+        /** sched::compile() invocations: every miss compiles. The
+         *  "zero recompiles" counter of journal replays. */
         std::uint64_t misses = 0;
-
-        /** Actual sched::compile() invocations (misses the disk tier
-         *  could not serve). The "zero recompiles" acceptance counter
-         *  for journal replays and warm disk caches. */
-        std::uint64_t compiles = 0;
-
-        /** Disk-tier traffic (all zero when no disk dir is set). */
-        std::uint64_t diskHits = 0;
-        std::uint64_t diskStores = 0;
-        std::uint64_t diskCorrupt = 0;  ///< invalid entries recompiled
 
         double hitRate() const
         {
@@ -73,7 +59,7 @@ class CompileCache
 
     /** Compile (or fetch the memoized compilation of) @p source.
      *  @param[out] was_hit optionally set to whether this call was
-     *  served without compiling (memory or disk tier).
+     *  served without compiling.
      *  @throws CompileError exactly as sched::compile would. */
     std::shared_ptr<const sched::CompileResult>
     compile(const std::string& source,
@@ -81,15 +67,9 @@ class CompileCache
             const sched::CompileOptions& opts, bool* was_hit = nullptr);
 
     /** Disabled: every compile() call compiles afresh (for measuring
-     *  the legacy, cacheless behavior). Counts everything as a miss
-     *  and bypasses the disk tier too. */
+     *  the legacy, cacheless behavior). Counts everything as a miss. */
     void setEnabled(bool enabled) { _enabled = enabled; }
     bool enabled() const { return _enabled; }
-
-    /** Attach the persistent tier rooted at @p dir (created if
-     *  missing; "" detaches). Safe to call before any compile(). */
-    void setDiskDir(const std::string& dir);
-    const std::string& diskDir() const { return _diskDir; }
 
     Stats stats() const;
 
@@ -98,21 +78,11 @@ class CompileCache
                            const config::MachineConfig& machine,
                            const sched::CompileOptions& opts);
 
-    /** The disk path @p key would be stored at under @p dir. */
-    static std::string entryPath(const std::string& dir,
-                                 const std::string& key);
-
   private:
     using Entry =
         std::shared_future<std::shared_ptr<const sched::CompileResult>>;
 
-    std::shared_ptr<const sched::CompileResult>
-    diskLoad(const std::string& key, const config::MachineConfig& machine);
-    void diskStore(const std::string& key,
-                   const sched::CompileResult& result);
-
     bool _enabled = true;
-    std::string _diskDir;
     mutable std::mutex _mu;
     std::map<std::string, Entry> _entries;
     Stats _stats;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include "procoup/fault/fault.hh"
@@ -19,12 +20,11 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--jobs N] [--list] [--filter SUBSTRING]\n"
-        "       [--stats-json FILE] [--sweep-report FILE]\n"
-        "       [--no-compile-cache] [--sanitize[=N]]\n"
-        "       [--faults=INTENSITY] [--fault-seed=S]\n"
-        "       [--fail-safe] [--retry-faulted] [--retries=N]\n"
-        "       [--journal DIR] [--disk-cache DIR] [--no-disk-cache]\n"
+        "usage: %s [--jobs N] [--sanitize[=N]] [--faults X]\n"
+        "       [--fault-seed S] [--fail-safe] [--journal DIR]\n"
+        "       [--list] [--filter SUBSTRING] [--stats-json FILE]\n"
+        "       [--sweep-report FILE] [--no-compile-cache]\n"
+        "       [--retry-faulted] [--retries N]\n"
         "see src/procoup/exp/harness.hh for flag semantics\n",
         argv0);
     std::exit(1);
@@ -41,88 +41,121 @@ writeFileOrDie(const std::string& path, const std::string& content)
     out << content;
 }
 
+/** Match "--name VALUE" or "--name=VALUE" at argv[i]: on a match,
+ *  store VALUE in @p value and step @p i past it. */
+bool
+flagValue(const char* name, int argc, char** argv, int& i,
+          std::string* value, void (*usage)(const char*))
+{
+    const std::string a = argv[i];
+    const std::size_t n = std::strlen(name);
+    if (a.compare(0, n, name) != 0)
+        return false;
+    if (a.size() == n) {
+        if (i + 1 >= argc)
+            usage(argv[0]);
+        *value = argv[++i];
+        return true;
+    }
+    if (a[n] != '=')
+        return false;
+    *value = a.substr(n + 1);
+    return true;
+}
+
 } // namespace
+
+bool
+HarnessOptions::parseSweepFlag(int argc, char** argv, int& i,
+                               void (*usage)(const char*))
+{
+    const std::string a = argv[i];
+    std::string v;
+    if (flagValue("--jobs", argc, argv, i, &v, usage)) {
+        jobs = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
+        if (jobs < 1)
+            usage(argv[0]);
+    } else if (a == "--sanitize") {
+        sanitizeEveryCycles = 1024;
+    } else if (a.rfind("--sanitize=", 0) == 0) {
+        sanitizeEveryCycles = static_cast<std::uint64_t>(
+            std::strtoull(a.c_str() + 11, nullptr, 10));
+        if (sanitizeEveryCycles == 0)
+            usage(argv[0]);
+    } else if (flagValue("--faults", argc, argv, i, &v, usage)) {
+        faultIntensity = std::strtod(v.c_str(), nullptr);
+        if (faultIntensity < 0.0)
+            usage(argv[0]);
+    } else if (flagValue("--fault-seed", argc, argv, i, &v, usage)) {
+        faultSeed = static_cast<std::uint64_t>(
+            std::strtoull(v.c_str(), nullptr, 10));
+    } else if (a == "--fail-safe") {
+        failSafe = true;
+    } else if (flagValue("--journal", argc, argv, i, &v, usage)) {
+        journalDir = v;
+    } else {
+        return false;
+    }
+    return true;
+}
 
 HarnessOptions
 HarnessOptions::parse(int argc, char** argv)
 {
     HarnessOptions o;
-    if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
-        o.diskCacheDir = env;
-    bool no_disk_cache = false;
     for (int i = 1; i < argc; ++i) {
+        if (o.parseSweepFlag(argc, argv, i, usage))
+            continue;
         const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage(argv[0]);
-            return argv[i];
-        };
-        if (a == "--jobs") {
-            o.jobs = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (o.jobs < 1)
-                usage(argv[0]);
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            o.jobs = static_cast<int>(
-                std::strtol(a.c_str() + 7, nullptr, 10));
-            if (o.jobs < 1)
-                usage(argv[0]);
-        } else if (a == "--list") {
+        std::string v;
+        if (a == "--list") {
             o.list = true;
-        } else if (a == "--filter") {
-            o.filter = next();
-        } else if (a.rfind("--filter=", 0) == 0) {
-            o.filter = a.substr(9);
-        } else if (a == "--stats-json") {
-            o.statsJsonPath = next();
-        } else if (a.rfind("--stats-json=", 0) == 0) {
-            o.statsJsonPath = a.substr(13);
-        } else if (a == "--sweep-report") {
-            o.sweepReportPath = next();
-        } else if (a.rfind("--sweep-report=", 0) == 0) {
-            o.sweepReportPath = a.substr(15);
+        } else if (flagValue("--filter", argc, argv, i, &v, usage)) {
+            o.filter = v;
+        } else if (flagValue("--stats-json", argc, argv, i, &v, usage)) {
+            o.statsJsonPath = v;
+        } else if (flagValue("--sweep-report", argc, argv, i, &v,
+                             usage)) {
+            o.sweepReportPath = v;
         } else if (a == "--no-compile-cache") {
             o.compileCache = false;
-        } else if (a == "--sanitize") {
-            o.sanitizeEveryCycles = 1024;
-        } else if (a.rfind("--sanitize=", 0) == 0) {
-            o.sanitizeEveryCycles = static_cast<std::uint64_t>(
-                std::strtoull(a.c_str() + 11, nullptr, 10));
-            if (o.sanitizeEveryCycles == 0)
-                usage(argv[0]);
-        } else if (a.rfind("--faults=", 0) == 0) {
-            o.faultIntensity = std::strtod(a.c_str() + 9, nullptr);
-            if (o.faultIntensity < 0.0)
-                usage(argv[0]);
-        } else if (a.rfind("--fault-seed=", 0) == 0) {
-            o.faultSeed = static_cast<std::uint64_t>(
-                std::strtoull(a.c_str() + 13, nullptr, 10));
-        } else if (a == "--fail-safe") {
-            o.failSafe = true;
         } else if (a == "--retry-faulted") {
             o.retryFaulted = true;
-        } else if (a.rfind("--retries=", 0) == 0) {
-            o.retries = static_cast<int>(
-                std::strtol(a.c_str() + 10, nullptr, 10));
+        } else if (flagValue("--retries", argc, argv, i, &v, usage)) {
+            o.retries =
+                static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
             if (o.retries < 0)
                 usage(argv[0]);
-        } else if (a == "--journal") {
-            o.journalDir = next();
-        } else if (a.rfind("--journal=", 0) == 0) {
-            o.journalDir = a.substr(10);
-        } else if (a == "--disk-cache") {
-            o.diskCacheDir = next();
-        } else if (a.rfind("--disk-cache=", 0) == 0) {
-            o.diskCacheDir = a.substr(13);
-        } else if (a == "--no-disk-cache") {
-            no_disk_cache = true;
         } else {
             usage(argv[0]);
         }
     }
-    if (no_disk_cache)
-        o.diskCacheDir.clear();
     return o;
+}
+
+void
+HarnessOptions::applyTo(ExperimentPlan& plan) const
+{
+    for (auto& p : plan.mutablePoints()) {
+        if (sanitizeEveryCycles > 0)
+            p.simOptions.sanitizeEveryCycles = sanitizeEveryCycles;
+        if (faultIntensity > 0.0)
+            p.simOptions.faults =
+                fault::FaultPlan::atIntensity(faultIntensity, faultSeed);
+    }
+}
+
+RunnerOptions
+HarnessOptions::runnerOptions() const
+{
+    RunnerOptions r;
+    r.jobs = jobs;
+    r.cacheEnabled = compileCache;
+    r.failSafe = failSafe;
+    r.retryFaulted = retryFaulted;
+    r.retries = retries;
+    r.journalDir = journalDir;
+    return r;
 }
 
 std::string
@@ -178,22 +211,14 @@ formatSweepReport(const ExperimentPlan& plan, const SweepResult& result,
         ", \"misses\": ", result.cacheStats.misses,
         ", \"hit_rate\": ", fixed(result.cacheStats.hitRate(), 4),
         "}");
-    // Crash-safety blocks appear only when their flag is on, keeping
-    // existing sweep reports byte-identical.
-    if (!options.diskCacheDir.empty())
-        s += strCat(",\n\"disk_cache\": {\"dir\": ",
-                    jsonQuote(options.diskCacheDir),
-                    ", \"compiles\": ", result.cacheStats.compiles,
-                    ", \"hits\": ", result.cacheStats.diskHits,
-                    ", \"stores\": ", result.cacheStats.diskStores,
-                    ", \"corrupt\": ", result.cacheStats.diskCorrupt,
-                    "}");
+    // The journal block appears only under --journal, keeping other
+    // sweep reports byte-identical.
     if (!options.journalDir.empty())
         s += strCat(",\n\"journal\": {\"dir\": ",
                     jsonQuote(options.journalDir), ", \"replayed\": ",
                     result.replayedPoints, ", \"executed\": ",
                     result.outcomes.size() - result.replayedPoints,
-                    ", \"compiles\": ", result.cacheStats.compiles,
+                    ", \"compiles\": ", result.cacheStats.misses,
                     "}");
     if (failed) {
         s += strCat(",\n\"failed_points\": ", failed,
@@ -236,26 +261,9 @@ runHarness(const ExperimentPlan& plan, const HarnessOptions& options,
                      options.filter.c_str());
         return 1;
     }
-    if (options.sanitizeEveryCycles > 0 || options.faultIntensity > 0.0)
-        for (auto& p : to_run.mutablePoints()) {
-            if (options.sanitizeEveryCycles > 0)
-                p.simOptions.sanitizeEveryCycles =
-                    options.sanitizeEveryCycles;
-            if (options.faultIntensity > 0.0)
-                p.simOptions.faults = fault::FaultPlan::atIntensity(
-                    options.faultIntensity, options.faultSeed);
-        }
+    options.applyTo(to_run);
 
-    RunnerOptions ropts;
-    ropts.jobs = options.jobs;
-    ropts.cacheEnabled = options.compileCache;
-    ropts.failSafe = options.failSafe;
-    ropts.retryFaulted = options.retryFaulted;
-    ropts.retryPolicy.maxAttempts = options.retries + 1;
-    ropts.journalDir = options.journalDir;
-    ropts.diskCacheDir = options.diskCacheDir;
-
-    SweepRunner runner(ropts);
+    SweepRunner runner(options.runnerOptions());
     const SweepResult result = runner.run(to_run);
 
     if (filtered) {

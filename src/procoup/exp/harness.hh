@@ -9,44 +9,42 @@
  * compile cache, stats bundles, sweep reports — is implemented once
  * here. Every point runs in this process, on SweepRunner's pool.
  *
- * Flags every runner-based harness accepts:
+ * Flags every runner-based harness accepts. A flag that takes a
+ * value accepts it as the next argument or after '=' (--jobs 4,
+ * --jobs=4). The first six are also pcsim's (parseSweepFlag):
  *
  *   --jobs N            worker threads (default: hardware concurrency;
  *                       1 = legacy serial execution)
+ *   --sanitize[=N]      re-validate simulator invariants every N
+ *                       cycles on every point (default N = 1024)
+ *   --faults X          attach fault::FaultPlan::atIntensity(X) to
+ *                       every point (stats bundles switch to schema
+ *                       procoup-stats/2 with a "faults" block)
+ *   --fault-seed S      seed of the --faults fault RNG stream
+ *   --fail-safe         record a point whose simulation throws
+ *                       (deadlock, budget, sanitizer) as a structured
+ *                       error record and keep the sweep running
+ *   --journal DIR       write-ahead results journal: every completed
+ *                       point is durably recorded in DIR; re-running
+ *                       after a crash replays recorded points
+ *                       bit-identically and executes only the rest
  *   --list              print every sweep-point label and exit
  *   --filter SUBSTRING  run only points whose label contains SUBSTRING
  *                       and print a per-point summary instead of the
  *                       harness's full table rendering
  *   --stats-json FILE   write a "procoup-stats-bundle/1" JSON bundle
  *                       with every executed point's stall-cause
- *                       attribution (PR 1's observability surface)
+ *                       attribution
  *   --sweep-report FILE write a "procoup-sweep/1" JSON record of the
  *                       sweep's wall-clock, job count, and compile-
  *                       cache hit rate (scripts/run_all.sh collects
  *                       these into BENCH_sweep.json)
  *   --no-compile-cache  compile every point afresh (the legacy
  *                       behavior, for baseline measurements)
- *   --sanitize[=N]      re-validate simulator invariants every N
- *                       cycles on every point (default N = 1024)
- *   --faults=X          attach fault::FaultPlan::atIntensity(X) to
- *                       every point (stats bundles switch to schema
- *                       procoup-stats/2 with a "faults" block)
- *   --fault-seed=S      seed of the --faults fault RNG stream
- *   --fail-safe         record a point whose simulation throws
- *                       (deadlock, budget, sanitizer) as a structured
- *                       error record and keep the sweep running
  *   --retry-faulted     with --fail-safe: retry a failed faulted
- *                       point under reseeded fault plans, bounded by
- *                       --retries with exponential backoff + jitter
- *   --retries=N         retry budget of --retry-faulted (default 2)
- *   --journal DIR       write-ahead results journal: every completed
- *                       point is durably recorded in DIR; re-running
- *                       after a crash replays recorded points
- *                       bit-identically and executes only the rest
- *   --disk-cache DIR    persistent compile cache shared across
- *                       processes and runs (default: the
- *                       PROCOUP_DISK_CACHE environment variable)
- *   --no-disk-cache     ignore --disk-cache and PROCOUP_DISK_CACHE
+ *                       point at once under reseeded fault plans,
+ *                       at most --retries times
+ *   --retries N         retry budget of --retry-faulted (default 2)
  *
  * Output determinism: the rendering callback runs after the sweep
  * completes, over outcomes in plan order, so harness output is
@@ -91,15 +89,28 @@ struct HarnessOptions
     /** --journal DIR ("" = no journal). */
     std::string journalDir;
 
-    /** --disk-cache DIR / $PROCOUP_DISK_CACHE ("" = memory only). */
-    std::string diskCacheDir;
-
     /**
      * Parse the common flags from argv (exits with usage on a
      * malformed or unknown option). All harness binaries accept
      * exactly this flag set.
      */
     static HarnessOptions parse(int argc, char** argv);
+
+    /**
+     * If argv[i] is one of the flags pcsim shares with the harnesses
+     * (--jobs, --sanitize[=N], --faults, --fault-seed, --fail-safe,
+     * --journal), store it, step @p i past its value and return true;
+     * return false for any other argument. A missing or malformed
+     * value calls @p usage, which must not return.
+     */
+    bool parseSweepFlag(int argc, char** argv, int& i,
+                        void (*usage)(const char* argv0));
+
+    /** Apply --sanitize and --faults to every point of @p plan. */
+    void applyTo(ExperimentPlan& plan) const;
+
+    /** The SweepRunner options these flags select. */
+    RunnerOptions runnerOptions() const;
 };
 
 /**

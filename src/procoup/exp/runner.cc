@@ -147,8 +147,6 @@ SweepRunner::SweepRunner(RunnerOptions options)
         _cache = _ownedCache.get();
     }
     _cache->setEnabled(_options.cacheEnabled);
-    if (!_options.diskCacheDir.empty() && _options.cacheEnabled)
-        _cache->setDiskDir(_options.diskCacheDir);
 }
 
 int
@@ -196,19 +194,13 @@ executeSweepPoint(const SweepPoint& point, CompileCache& cache,
         // Bounded retries under reseeded fault plans distinguish "this
         // fault schedule was unlucky" from a real failure — but the
         // *first* error is what gets recorded, so the record stays
-        // deterministic. Backoff delays are jittered deterministically
-        // from the point label so parallel retriers do not stampede.
+        // deterministic. A retry runs at once: it contends for
+        // nothing another point holds, so there is nothing to wait out.
         bool recovered = false;
         if (options.retryFaulted && point.simOptions.faults.enabled) {
-            const std::uint64_t jitter_seed = fnv1a64(point.label);
-            const int budget = options.retryPolicy.maxRetries();
-            for (int retry = 1; retry <= budget && !recovered;
+            for (int retry = 1; retry <= options.retries && !recovered;
                  ++retry) {
                 out.retries = retry;
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        options.retryPolicy.delayMs(jitter_seed,
-                                                    retry)));
                 sim::SimOptions retry_opts = point.simOptions;
                 retry_opts.faults = retry_opts.faults.reseeded(
                     point.simOptions.faults.seed *
@@ -385,14 +377,6 @@ SweepRunner::run(const ExperimentPlan& plan)
     const auto cache_after = _cache->stats();
     res.cacheStats.hits = cache_after.hits - cache_before.hits;
     res.cacheStats.misses = cache_after.misses - cache_before.misses;
-    res.cacheStats.compiles =
-        cache_after.compiles - cache_before.compiles;
-    res.cacheStats.diskHits =
-        cache_after.diskHits - cache_before.diskHits;
-    res.cacheStats.diskStores =
-        cache_after.diskStores - cache_before.diskStores;
-    res.cacheStats.diskCorrupt =
-        cache_after.diskCorrupt - cache_before.diskCorrupt;
     res.wallMs = msSince(start);
     return res;
 }

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "procoup/core/node.hh"
-#include "procoup/exp/backoff.hh"
 #include "procoup/exp/cache.hh"
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/serialize.hh"
@@ -84,19 +83,16 @@ struct RunnerOptions
     bool failSafe = false;
 
     /** Under failSafe: retry a failed point under reseeded fault
-     *  plans, bounded and backed off by retryPolicy, before recording
-     *  the failure (points without a fault plan are never retried —
-     *  their failures are deterministic). */
+     *  plans, up to `retries` times, before recording the failure
+     *  (points without a fault plan are never retried — their
+     *  failures are deterministic). */
     bool retryFaulted = false;
 
-    /** Backoff of the --retry-faulted retries. */
-    RetryPolicy retryPolicy;
+    /** Retries of --retry-faulted beyond the first attempt. */
+    int retries = 2;
 
     /** Write-ahead results journal directory ("" = no journal). */
     std::string journalDir;
-
-    /** Persistent compile cache directory ("" = in-memory only). */
-    std::string diskCacheDir;
 };
 
 /** What one executed sweep point produced. */
@@ -119,7 +115,7 @@ struct RunOutcome
     /** Attempts beyond the first (reseeded-fault-plan retries). */
     int retries = 0;
 
-    /** This point's compile was served from a cache tier. */
+    /** This point's compile was served from the compile cache. */
     bool compileCached = false;
 
     /** Restored from the results journal; nothing re-executed. */

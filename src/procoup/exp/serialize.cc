@@ -392,15 +392,6 @@ writeRegRef(ByteWriter& w, const isa::RegRef& r)
     w.u16(r.index);
 }
 
-isa::RegRef
-readRegRef(ByteReader& r)
-{
-    isa::RegRef ref;
-    ref.cluster = r.u16();
-    ref.index = r.u16();
-    return ref;
-}
-
 void
 writeOperand(ByteWriter& w, const isa::Operand& o)
 {
@@ -409,30 +400,6 @@ writeOperand(ByteWriter& w, const isa::Operand& o)
         writeRegRef(w, o.reg());
     else if (o.isImm())
         writeValue(w, o.imm());
-}
-
-bool
-readOperand(ByteReader& r, isa::Operand* o)
-{
-    const auto kind = static_cast<isa::Operand::Kind>(r.u8());
-    switch (kind) {
-      case isa::Operand::Kind::None:
-        *o = isa::Operand();
-        break;
-      case isa::Operand::Kind::Reg:
-        *o = isa::Operand::makeReg(readRegRef(r));
-        break;
-      case isa::Operand::Kind::Imm: {
-        isa::Value v;
-        if (!readValue(r, &v))
-            return false;
-        *o = isa::Operand::makeImm(v);
-        break;
-      }
-      default:
-        return false;
-    }
-    return !r.failed();
 }
 
 void
@@ -450,35 +417,6 @@ writeOperation(ByteWriter& w, const isa::Operation& op)
     w.u32(op.branchTarget);
     w.u32(op.forkTarget);
     w.i64(op.markId);
-}
-
-bool
-readOperation(ByteReader& r, isa::Operation* op)
-{
-    // Range-check the enums: an unknown opcode would otherwise reach
-    // validateProgram's opcode tables, which panic on it.
-    const std::uint16_t opcode = r.u16();
-    if (opcode > static_cast<std::uint16_t>(isa::Opcode::NOP))
-        return false;
-    op->opcode = static_cast<isa::Opcode>(opcode);
-    op->srcs.resize(r.u8());
-    for (auto& s : op->srcs)
-        if (!readOperand(r, &s))
-            return false;
-    op->dsts.resize(r.u8());
-    for (auto& d : op->dsts)
-        d = readRegRef(r);
-    const std::uint8_t pre = r.u8();
-    const std::uint8_t post = r.u8();
-    if (pre > static_cast<std::uint8_t>(isa::MemPre::Empty) ||
-        post > static_cast<std::uint8_t>(isa::MemPost::SetEmpty))
-        return false;
-    op->flavor.pre = static_cast<isa::MemPre>(pre);
-    op->flavor.post = static_cast<isa::MemPost>(post);
-    op->branchTarget = r.u32();
-    op->forkTarget = r.u32();
-    op->markId = r.i64();
-    return !r.failed();
 }
 
 void
@@ -593,60 +531,11 @@ writeProgram(ByteWriter& w, const isa::Program& p)
     writeSymbols(w, p.symbols);
 }
 
-bool
-readProgram(ByteReader& r, isa::Program* p)
-{
-    std::uint64_t n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    p->threads.resize(n);
-    for (auto& t : p->threads) {
-        t.name = r.str();
-        std::uint64_t rows = r.u64();
-        if (!checkedSize(r, rows))
-            return false;
-        t.instructions.resize(rows);
-        for (auto& inst : t.instructions) {
-            inst.slots.resize(r.u16());
-            for (auto& slot : inst.slots) {
-                slot.fu = r.u16();
-                if (!readOperation(r, &slot.op))
-                    return false;
-            }
-        }
-        t.paramHomes.resize(r.u16());
-        for (auto& h : t.paramHomes)
-            h = readRegRef(r);
-        t.regCount.resize(r.u16());
-        for (auto& v : t.regCount)
-            v = r.u32();
-    }
-    p->entry = r.u32();
-    p->memorySize = r.u32();
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    p->memInits.resize(n);
-    for (auto& m : p->memInits) {
-        m.addr = r.u32();
-        if (!readValue(r, &m.value))
-            return false;
-        m.full = r.b();
-    }
-    return readSymbols(r, &p->symbols) && !r.failed();
-}
-
 void
 writeCompileResult(ByteWriter& w, const sched::CompileResult& c)
 {
     writeProgram(w, c.program);
     writeFuncInfo(w, c.funcInfo);
-}
-
-bool
-readCompileResult(ByteReader& r, sched::CompileResult* c)
-{
-    return readProgram(r, &c->program) && readFuncInfo(r, &c->funcInfo);
 }
 
 std::string

@@ -5,18 +5,16 @@
  * @file
  * Binary serialization for the crash-safe execution layer.
  *
- * Two consumers share one byte format:
- *  - the results journal (exp/journal.hh) persists executed sweep
- *    outcomes so interrupted sweeps resume instead of re-running;
- *  - the persistent compile cache (exp/cache.hh) publishes whole
- *    sched::CompileResult objects across processes and runs.
+ * One consumer reads this byte format back: the results journal
+ * (exp/journal.hh) persists executed sweep outcomes so interrupted
+ * sweeps resume instead of re-running.
  *
- * Both move bytes between processes on the *same* host (same
+ * The journal moves bytes between processes on the *same* host (same
  * toolchain, same endianness), so the encoding is native-endian
  * little-endian x86-64 with explicit fixed-width fields — simple,
  * dense, and versioned. kFormatVersion gates every reader: a version
- * bump silently invalidates old journals and cache entries (they are
- * rebuilt, never misread). Decoders also range-check lengths and enum
+ * bump silently invalidates old journals (their points re-execute,
+ * never misread). Decoders also range-check lengths and enum
  * fields, so even a checksum-valid payload with garbage inside is
  * rejected rather than decoded into an impossible value.
  *
@@ -125,11 +123,10 @@ bool readValue(ByteReader& r, isa::Value* v);
 void writeRunStats(ByteWriter& w, const sim::RunStats& s);
 bool readRunStats(ByteReader& r, sim::RunStats* s);
 
+/** Write-only: content digests of compiled programs (perfbench)
+ *  need no decoder. */
 void writeProgram(ByteWriter& w, const isa::Program& p);
-bool readProgram(ByteReader& r, isa::Program* p);
-
 void writeCompileResult(ByteWriter& w, const sched::CompileResult& c);
-bool readCompileResult(ByteReader& r, sched::CompileResult* c);
 
 /**
  * The persisted subset of one executed sweep point — everything the

@@ -559,11 +559,11 @@ FuncBuilder::emitBin(Opcode op, IrValue a, IrValue b, Type result)
         const auto& cb = b.constant();
         switch (op) {
           case Opcode::IADD:
-            return IrValue::makeInt(ca.asInt() + cb.asInt());
+            return IrValue::makeInt(isa::wrapAdd(ca.asInt(), cb.asInt()));
           case Opcode::ISUB:
-            return IrValue::makeInt(ca.asInt() - cb.asInt());
+            return IrValue::makeInt(isa::wrapSub(ca.asInt(), cb.asInt()));
           case Opcode::IMUL:
-            return IrValue::makeInt(ca.asInt() * cb.asInt());
+            return IrValue::makeInt(isa::wrapMul(ca.asInt(), cb.asInt()));
           case Opcode::FADD:
             return IrValue::makeFloat(ca.asFloat() + cb.asFloat());
           case Opcode::FSUB:
@@ -614,7 +614,8 @@ FuncBuilder::genArith(const Sexpr& e)
             const auto& c = a.val.constant();
             return c.isFloat()
                 ? TV::make(IrValue::makeFloat(-c.asFloat()), Type::Float)
-                : TV::make(IrValue::makeInt(-c.asInt()), Type::Int);
+                : TV::make(IrValue::makeInt(isa::wrapNeg(c.asInt())),
+                          Type::Int);
         }
         IrInstr i;
         i.op = a.type == Type::Float ? Opcode::FNEG : Opcode::INEG;
@@ -662,11 +663,11 @@ FuncBuilder::genArith(const Sexpr& e)
             const auto& ca = acc.constant();
             const auto& cb = rhs.constant();
             if (opc == Opcode::IDIV && cb.asInt() != 0) {
-                acc = IrValue::makeInt(ca.asInt() / cb.asInt());
+                acc = IrValue::makeInt(isa::wrapDiv(ca.asInt(), cb.asInt()));
                 continue;
             }
             if (opc == Opcode::IMOD && cb.asInt() != 0) {
-                acc = IrValue::makeInt(ca.asInt() % cb.asInt());
+                acc = IrValue::makeInt(isa::wrapMod(ca.asInt(), cb.asInt()));
                 continue;
             }
             if (opc == Opcode::FDIV) {
@@ -1743,28 +1744,34 @@ evalConstExpr(const Sexpr& e,
     if (head == "-" && args.size() == 1)
         return args[0].isFloat()
             ? isa::Value::makeFloat(-args[0].asFloat())
-            : isa::Value::makeInt(-args[0].asInt());
+            : isa::Value::makeInt(isa::wrapNeg(args[0].asInt()));
     if (head == "+")
-        return all_int() ? fold_int([](auto a, auto b) { return a + b; })
+        return all_int() ? fold_int(isa::wrapAdd)
                          : fold_float([](auto a, auto b) { return a + b; });
     if (head == "-")
-        return all_int() ? fold_int([](auto a, auto b) { return a - b; })
+        return all_int() ? fold_int(isa::wrapSub)
                          : fold_float([](auto a, auto b) { return a - b; });
     if (head == "*")
-        return all_int() ? fold_int([](auto a, auto b) { return a * b; })
+        return all_int() ? fold_int(isa::wrapMul)
                          : fold_float([](auto a, auto b) { return a * b; });
+    auto zero_divisor = [&] {
+        for (std::size_t i = 1; i < args.size(); ++i)
+            if (args[i].asInt() == 0)
+                return true;
+        return false;
+    };
     if (head == "/") {
         if (all_int()) {
-            if (args.at(1).asInt() == 0)
+            if (zero_divisor())
                 err(e, "constant division by zero");
-            return fold_int([](auto a, auto b) { return a / b; });
+            return fold_int(isa::wrapDiv);
         }
         return fold_float([](auto a, auto b) { return a / b; });
     }
     if (head == "mod") {
-        if (!all_int() || args.at(1).asInt() == 0)
+        if (!all_int() || zero_divisor())
             err(e, "mod needs nonzero integer constants");
-        return fold_int([](auto a, auto b) { return a % b; });
+        return fold_int(isa::wrapMod);
     }
     if (head == "float")
         return isa::Value::makeFloat(args.at(0).asFloat());

@@ -51,6 +51,63 @@ class Value
     double fval;
 };
 
+/**
+ * The integer unit's 64-bit arithmetic: two's complement, with
+ * overflow wrapping around (computed through uint64_t, so it is
+ * defined behaviour). INT64_MIN / -1 wraps to INT64_MIN and
+ * INT64_MIN mod -1 is 0. The simulator's ALU and every compile-time
+ * constant fold go through these, so folding and running agree.
+ * Division and modulo by zero are the caller's to reject.
+ */
+inline std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapNeg(std::int64_t a)
+{
+    return wrapSub(0, a);
+}
+
+/** a << (b mod 64). */
+inline std::int64_t
+wrapShl(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a)
+                                     << (b & 63));
+}
+
+/** @pre b != 0 */
+inline std::int64_t
+wrapDiv(std::int64_t a, std::int64_t b)
+{
+    return b == -1 ? wrapNeg(a) : a / b;
+}
+
+/** @pre b != 0 */
+inline std::int64_t
+wrapMod(std::int64_t a, std::int64_t b)
+{
+    return b == -1 ? 0 : a % b;
+}
+
 } // namespace isa
 } // namespace procoup
 

@@ -15,21 +15,21 @@ Value
 intBin(Opcode op, std::int64_t a, std::int64_t b)
 {
     switch (op) {
-      case Opcode::IADD: return Value::makeInt(a + b);
-      case Opcode::ISUB: return Value::makeInt(a - b);
-      case Opcode::IMUL: return Value::makeInt(a * b);
+      case Opcode::IADD: return Value::makeInt(isa::wrapAdd(a, b));
+      case Opcode::ISUB: return Value::makeInt(isa::wrapSub(a, b));
+      case Opcode::IMUL: return Value::makeInt(isa::wrapMul(a, b));
       case Opcode::IDIV:
         if (b == 0)
             throw SimError("integer division by zero");
-        return Value::makeInt(a / b);
+        return Value::makeInt(isa::wrapDiv(a, b));
       case Opcode::IMOD:
         if (b == 0)
             throw SimError("integer modulo by zero");
-        return Value::makeInt(a % b);
+        return Value::makeInt(isa::wrapMod(a, b));
       case Opcode::IAND: return Value::makeInt(a & b);
       case Opcode::IOR:  return Value::makeInt(a | b);
       case Opcode::IXOR: return Value::makeInt(a ^ b);
-      case Opcode::ISHL: return Value::makeInt(a << (b & 63));
+      case Opcode::ISHL: return Value::makeInt(isa::wrapShl(a, b));
       case Opcode::ISHR: return Value::makeInt(a >> (b & 63));
       case Opcode::ILT:  return Value::makeInt(a < b);
       case Opcode::ILE:  return Value::makeInt(a <= b);
@@ -73,7 +73,7 @@ evalAlu(Opcode op, std::span<const Value> srcs)
     };
     switch (op) {
       case Opcode::INEG:
-        return Value::makeInt(-arg(0).asInt());
+        return Value::makeInt(isa::wrapNeg(arg(0).asInt()));
       case Opcode::INOT:
         return Value::makeInt(arg(0).asInt() == 0);
       case Opcode::FNEG:

@@ -1,19 +1,15 @@
 /** @file Crash-safe results journal: frame/record round-trips, torn
  *  and corrupted tails, decoder robustness against corrupt payloads
  *  behind valid checksums, fingerprint invalidation, bit-identical
- *  replay with zero recompiles, and the deterministic retry policy
- *  that backs --retry-faulted. */
+ *  replay with zero recompiles. */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "procoup/benchmarks/benchmarks.hh"
 #include "procoup/config/presets.hh"
-#include "procoup/exp/backoff.hh"
 #include "procoup/exp/harness.hh"
 #include "procoup/exp/journal.hh"
 #include "procoup/exp/plan.hh"
@@ -23,15 +19,6 @@
 
 namespace procoup {
 namespace {
-
-std::string
-tempDir()
-{
-    char tmpl[] = "/tmp/procoup_journal_XXXXXX";
-    const char* d = ::mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d;
-}
 
 exp::ExperimentPlan
 smallPlan()
@@ -162,11 +149,11 @@ TEST(Serialize, OutcomeRecordDecoderValidatesErrorFields)
 
 TEST(Journal, RecordWithRetiredErrorKindReExecutes)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     const auto plan = smallPlan();
     {
         exp::ResultsJournal j;
-        ASSERT_TRUE(j.open(dir, plan));
+        ASSERT_TRUE(j.open(dir.path(), plan));
         exp::OutcomeRecord rec;
         rec.label = plan.points()[0].label;
         rec.pointFingerprint = exp::pointFingerprint(plan.points()[0]);
@@ -178,7 +165,7 @@ TEST(Journal, RecordWithRetiredErrorKindReExecutes)
 
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
     EXPECT_EQ(res.replayedPoints, 0u);
     EXPECT_FALSE(res.outcomes[0].replayed);
@@ -215,17 +202,17 @@ TEST(Journal, RecordWithMisshapenStatsReExecutes)
         [](sim::RunStats& s) { s.wbDenialsByCluster.push_back(0); },
     };
     for (const Mutate mutate : mutations) {
-        const std::string dir = tempDir();
+        const testutil::TempDir dir("procoup_journal");
         {
             exp::ResultsJournal j;
-            ASSERT_TRUE(j.open(dir, plan));
+            ASSERT_TRUE(j.open(dir.path(), plan));
             exp::OutcomeRecord bad = good;
             mutate(bad.stats);
             j.append(bad);
         }
         exp::RunnerOptions ropts;
         ropts.jobs = 1;
-        ropts.journalDir = dir;
+        ropts.journalDir = dir.path();
         const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
         EXPECT_EQ(res.replayedPoints, 0u);
         EXPECT_FALSE(res.outcomes[0].replayed);
@@ -233,15 +220,15 @@ TEST(Journal, RecordWithMisshapenStatsReExecutes)
     }
 
     // The unmodified record still replays.
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     {
         exp::ResultsJournal j;
-        ASSERT_TRUE(j.open(dir, plan));
+        ASSERT_TRUE(j.open(dir.path(), plan));
         j.append(good);
     }
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
     EXPECT_EQ(res.replayedPoints, 1u);
     EXPECT_TRUE(res.outcomes[0].replayed);
@@ -257,11 +244,11 @@ TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
             exp::executeSweepPoint(point, cache, exp::RunnerOptions{}),
             exp::pointFingerprint(point)));
 
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     std::string wal;
     {
         exp::ResultsJournal j;
-        ASSERT_TRUE(j.open(dir, plan));
+        ASSERT_TRUE(j.open(dir.path(), plan));
         wal = j.walPath();
     }
 
@@ -284,7 +271,7 @@ TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
             // The journal loader over the same bytes.
             ASSERT_TRUE(exp::atomicWriteFile(wal, exp::frame(evil)));
             exp::ResultsJournal j;
-            ASSERT_TRUE(j.open(dir, plan));
+            ASSERT_TRUE(j.open(dir.path(), plan));
             EXPECT_LE(j.loadedCount(), 1u);
         }
     }
@@ -293,27 +280,27 @@ TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
 
 TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     const auto plan = smallPlan();
 
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     exp::SweepRunner first(ropts);
     const exp::SweepResult a = first.run(plan);
     EXPECT_EQ(a.replayedPoints, 0u);
-    EXPECT_GT(first.cache().stats().compiles, 0u);
+    EXPECT_GT(first.cache().stats().misses, 0u);
 
     // The journal finalized: every point is loadable from the dir.
     exp::ResultsJournal peek;
-    ASSERT_TRUE(peek.open(dir, plan));
+    ASSERT_TRUE(peek.open(dir.path(), plan));
     EXPECT_EQ(peek.loadedCount(), plan.size());
 
     exp::SweepRunner second(ropts);
     const exp::SweepResult b = second.run(plan);
     EXPECT_EQ(b.replayedPoints, plan.size());
     // Zero recompiles: replay never touches the compiler.
-    EXPECT_EQ(second.cache().stats().compiles, 0u);
+    EXPECT_EQ(second.cache().stats().misses, 0u);
 
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
@@ -329,13 +316,13 @@ TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)
 
 TEST(Journal, PartialJournalExecutesOnlyTheRemainder)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     const auto plan = smallPlan();
 
     // Record only the first point, as an interrupted sweep would.
     {
         exp::ResultsJournal j;
-        ASSERT_TRUE(j.open(dir, plan));
+        ASSERT_TRUE(j.open(dir.path(), plan));
         exp::CompileCache cache;
         exp::RunnerOptions popts;
         const exp::RunOutcome one =
@@ -347,7 +334,7 @@ TEST(Journal, PartialJournalExecutesOnlyTheRemainder)
 
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     exp::SweepRunner runner(ropts);
     const exp::SweepResult res = runner.run(plan);
     EXPECT_EQ(res.replayedPoints, 1u);
@@ -358,18 +345,18 @@ TEST(Journal, PartialJournalExecutesOnlyTheRemainder)
 
 TEST(Journal, TornTailDiscardsOnlyTheTornRecord)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     const auto plan = smallPlan();
 
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     exp::SweepRunner(ropts).run(plan);
 
     // Simulate a crash mid-append: chop the finalized journal's last
     // record in half and re-open. The prefix records must survive.
     exp::ResultsJournal peek;
-    ASSERT_TRUE(peek.open(dir, plan));
+    ASSERT_TRUE(peek.open(dir.path(), plan));
     const std::string path = peek.journalPath();
     std::string bytes;
     ASSERT_TRUE(exp::readWholeFile(path, &bytes));
@@ -385,12 +372,12 @@ TEST(Journal, TornTailDiscardsOnlyTheTornRecord)
 
 TEST(Journal, FingerprintChangeInvalidatesOnlyThatPoint)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     auto plan = smallPlan();
 
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     exp::SweepRunner(ropts).run(plan);
 
     // Tightening one point's cycle budget changes its fingerprint
@@ -408,7 +395,7 @@ TEST(Journal, FingerprintChangeInvalidatesOnlyThatPoint)
 
 TEST(Journal, TracerPointsAreNeverJournaled)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     const auto machine = config::baseline();
 
     int events = 0;
@@ -420,7 +407,7 @@ TEST(Journal, TracerPointsAreNeverJournaled)
 
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     exp::SweepRunner(ropts).run(plan);
     ASSERT_GT(events, 0);
 
@@ -435,7 +422,7 @@ TEST(Journal, TracerPointsAreNeverJournaled)
 
 TEST(Journal, FailSafeErrorRecordsReplayToo)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     auto machine = config::baseline();
     machine.deadlockCycleLimit = 300;
 
@@ -449,7 +436,7 @@ TEST(Journal, FailSafeErrorRecordsReplayToo)
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
     ropts.failSafe = true;
-    ropts.journalDir = dir;
+    ropts.journalDir = dir.path();
     const exp::SweepResult a = exp::SweepRunner(ropts).run(plan);
     ASSERT_EQ(a.failedCount(), 1u);
 
@@ -461,31 +448,9 @@ TEST(Journal, FailSafeErrorRecordsReplayToo)
     EXPECT_EQ(b.outcomes[0].error, a.outcomes[0].error);
 }
 
-TEST(RetryPolicy, DeterministicBoundedBackoff)
-{
-    exp::RetryPolicy p;
-    p.maxAttempts = 5;
-    p.baseDelayMs = 10.0;
-    p.maxDelayMs = 50.0;
-    EXPECT_EQ(p.maxRetries(), 4);
-
-    for (int retry = 1; retry <= p.maxRetries(); ++retry) {
-        const double d = p.delayMs(42, retry);
-        // Exponential-with-cap envelope, jitter factor in [1, 2).
-        const double base =
-            std::min(p.maxDelayMs, 10.0 * (1 << (retry - 1)));
-        EXPECT_GE(d, base);
-        EXPECT_LT(d, 2.0 * base);
-        // Same (seed, retry) -> same delay; different seed differs.
-        EXPECT_EQ(d, p.delayMs(42, retry));
-        EXPECT_NE(d, p.delayMs(43, retry));
-    }
-    EXPECT_EQ(exp::RetryPolicy{.maxAttempts = 1}.maxRetries(), 0);
-}
-
 TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
 {
-    const std::string dir = tempDir();
+    const testutil::TempDir dir("procoup_journal");
     const exp::ExperimentPlan plan = smallPlan();
 
     // First session: journal every point, then close() without
@@ -493,7 +458,7 @@ TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
     // complete record set now lives only in the WAL.
     {
         exp::ResultsJournal j;
-        ASSERT_TRUE(j.open(dir, plan));
+        ASSERT_TRUE(j.open(dir.path(), plan));
         for (const auto& p : plan.points()) {
             exp::OutcomeRecord rec;
             rec.label = p.label;
@@ -510,7 +475,7 @@ TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
     // along with the "empty" WAL.
     {
         exp::ResultsJournal j;
-        ASSERT_TRUE(j.open(dir, plan));
+        ASSERT_TRUE(j.open(dir.path(), plan));
         EXPECT_EQ(j.loadedCount(), plan.size());
         j.finalize();
         std::ifstream journal(j.journalPath());
@@ -521,7 +486,7 @@ TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
 
     // Third session still replays everything.
     exp::ResultsJournal j;
-    ASSERT_TRUE(j.open(dir, plan));
+    ASSERT_TRUE(j.open(dir.path(), plan));
     EXPECT_EQ(j.loadedCount(), plan.size());
     for (const auto& p : plan.points())
         EXPECT_NE(j.find(exp::pointFingerprint(p)), nullptr);

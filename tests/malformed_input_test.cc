@@ -33,6 +33,10 @@ TEST(MalformedInput, BrokenProgramsRaiseCompileError)
         "(defun main () (undefined-op 1))",  // unknown operator
         "(1 2 3)",                           // list head not a symbol
         "(defun main () (aref))",            // arity underflow
+        "(defvar x (/ 6 2 0))"               // zero divisor past the
+        "(defun main () 0)",                 // second operand
+        "(defvar x (mod 6 2 0))"
+        "(defun main () 0)",
     };
     core::CoupledNode node(config::baseline());
     for (const auto& src : sources)

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "procoup/config/presets.hh"
+#include "procoup/sched/compiler.hh"
 #include "procoup/sim/alu.hh"
+#include "procoup/sim/simulator.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/strings.hh"
 
 namespace procoup {
 namespace {
@@ -13,6 +18,9 @@ namespace {
 using isa::Opcode;
 using isa::Value;
 using sim::evalAlu;
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
 // --- Integer binary operations ---------------------------------------
 
@@ -57,7 +65,20 @@ INSTANTIATE_TEST_SUITE_P(
         IntBinCase{"eq", Opcode::IEQ, 4, 4, 1},
         IntBinCase{"ne", Opcode::INE, 4, 4, 0},
         IntBinCase{"gt", Opcode::IGT, 5, 4, 1},
-        IntBinCase{"ge", Opcode::IGE, 4, 5, 0}),
+        IntBinCase{"ge", Opcode::IGE, 4, 5, 0},
+        // Two's-complement wrap-around, never undefined behaviour.
+        IntBinCase{"add_wraps", Opcode::IADD, kMax, 1, kMin},
+        IntBinCase{"sub_wraps", Opcode::ISUB, kMin, 1, kMax},
+        IntBinCase{"mul_wraps", Opcode::IMUL, 752846022855, 752846022864,
+                   922470640823155120},
+        IntBinCase{"mul_min_by_neg1", Opcode::IMUL, kMin, -1, kMin},
+        IntBinCase{"div_min_by_neg1", Opcode::IDIV, kMin, -1, kMin},
+        IntBinCase{"mod_min_by_neg1", Opcode::IMOD, kMin, -1, 0},
+        IntBinCase{"div_by_neg1", Opcode::IDIV, 7, -1, -7},
+        IntBinCase{"shl_into_sign", Opcode::ISHL, 1, 63, kMin},
+        IntBinCase{"shl_negative", Opcode::ISHL, -3, 2, -12},
+        IntBinCase{"shl_count_mod_64", Opcode::ISHL, 3, 68, 48},
+        IntBinCase{"shr_negative", Opcode::ISHR, -16, 2, -4}),
     [](const ::testing::TestParamInfo<IntBinCase>& i) {
         return i.param.name;
     });
@@ -112,6 +133,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Alu, UnaryOps)
 {
     EXPECT_EQ(evalAlu(Opcode::INEG, {Value::makeInt(5)}).rawInt(), -5);
+    EXPECT_EQ(evalAlu(Opcode::INEG, {Value::makeInt(kMin)}).rawInt(),
+              kMin);
     EXPECT_EQ(evalAlu(Opcode::INOT, {Value::makeInt(0)}).rawInt(), 1);
     EXPECT_EQ(evalAlu(Opcode::INOT, {Value::makeInt(7)}).rawInt(), 0);
     EXPECT_DOUBLE_EQ(
@@ -168,6 +191,62 @@ TEST(Alu, DivisionByZeroTraps)
         evalAlu(Opcode::FDIV,
                 {Value::makeFloat(1.0), Value::makeFloat(0.0)})
             .rawFloat()));
+}
+
+TEST(Alu, ConstantFoldingWrapsLikeTheAlu)
+{
+    // Each edge case three ways: folded by the frontend (defvar
+    // initializers and constant operands), folded by the optimizer
+    // (operands that constant propagation discovers), and computed by
+    // the simulator's ALU on values loaded from memory. All agree.
+    const std::string src =
+        "(defarray in (4) :int :init (752846022855 752846022864"
+        "                             9223372036854775807 -1))"
+        "(defvar c0 (* 752846022855 752846022864))"
+        "(defvar c1 (+ 9223372036854775807 1))"
+        "(defvar c2 (/ (- (- 0 9223372036854775807) 1) -1))"
+        "(defvar c3 (mod (- (- 0 9223372036854775807) 1) -1))"
+        "(defvar c4 (- (- (- 0 9223372036854775807) 1)))"
+        "(defarray folded (5) :int)"
+        "(defarray optimized (2) :int)"
+        "(defarray run (5) :int)"
+        "(defun main ()"
+        "  (aset folded 0 (* 752846022855 752846022864))"
+        "  (aset folded 1 (+ 9223372036854775807 1))"
+        "  (aset folded 2 (/ (- (- 0 9223372036854775807) 1) -1))"
+        "  (aset folded 3 (mod (- (- 0 9223372036854775807) 1) -1))"
+        "  (aset folded 4 (- (- (- 0 9223372036854775807) 1)))"
+        "  (let ((m (- (- 0 9223372036854775807) 1)))"
+        "    (aset optimized 0 (/ m -1))"
+        "    (aset optimized 1 (mod m -1)))"
+        "  (let ((a (aref in 0)) (b (aref in 1)) (mx (aref in 2))"
+        "        (n1 (aref in 3)))"
+        "    (aset run 0 (* a b))"
+        "    (aset run 1 (+ mx 1))"
+        "    (aset run 2 (/ (- (- 0 mx) 1) n1))"
+        "    (aset run 3 (mod (- (- 0 mx) 1) n1))"
+        "    (aset run 4 (- (- (- 0 mx) 1)))))";
+    const auto machine = config::baseline();
+    const auto compiled =
+        sched::compile(src, machine, sched::CompileOptions{});
+    sim::Simulator sim(machine, compiled.program);
+    sim.run();
+    auto at = [&](const std::string& sym, std::uint32_t i) {
+        return sim.memory()
+            .peek(compiled.program.symbol(sym).base + i)
+            .rawInt();
+    };
+
+    const std::int64_t expect[] = {922470640823155120, kMin, kMin, 0,
+                                   kMin};
+    for (std::uint32_t i = 0; i < 5; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(at("run", i), expect[i]);
+        EXPECT_EQ(at("folded", i), expect[i]);
+        EXPECT_EQ(at(strCat("c", i), 0), expect[i]);
+    }
+    EXPECT_EQ(at("optimized", 0), kMin);
+    EXPECT_EQ(at("optimized", 1), 0);
 }
 
 } // namespace

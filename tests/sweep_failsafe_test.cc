@@ -156,14 +156,13 @@ TEST(SweepFailSafe, RetryRecordsFirstDeterministicError)
     ropts.jobs = 1;
     ropts.failSafe = true;
     ropts.retryFaulted = true;
-    ropts.retryPolicy.maxAttempts = 3;   // 2 retries after the first
-    ropts.retryPolicy.baseDelayMs = 1.0; // keep the test fast
+    ropts.retries = 2;  // 2 retries after the first
     exp::SweepRunner runner(ropts);
     const exp::SweepResult result = runner.run(plan);
 
     const exp::RunOutcome& o = result.at("faulted-deadlock");
     EXPECT_TRUE(o.failed);
-    EXPECT_EQ(o.retries, ropts.retryPolicy.maxRetries());
+    EXPECT_EQ(o.retries, 2);
     EXPECT_EQ(o.errorKind, SimErrorKind::Deadlock);
 
     // Unfaulted points are never retried: their failures replay

@@ -4,15 +4,20 @@
 /**
  * @file
  * Shared helpers for the test suites: the baseline machine's
- * function-unit numbering, small program-building shortcuts, and a
- * seeded byte mutator for decoder robustness loops.
+ * function-unit numbering, small program-building shortcuts, a
+ * seeded byte mutator for decoder robustness loops, and a temporary
+ * directory that removes itself.
  *
  * Baseline machine layout (config::baseline()):
  *   clusters 0..3: fu 3c+0 = IU, 3c+1 = FPU, 3c+2 = MU
  *   cluster 4:     fu 12 = BR       cluster 5: fu 13 = BR
  */
 
+#include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "procoup/config/presets.hh"
 #include "procoup/support/rng.hh"
@@ -43,6 +48,34 @@ mutateBytes(std::string bytes, Rng& rng)
         bytes[rng.uniformInt(0, last)] = static_cast<char>(rng.next());
     return bytes;
 }
+
+/** A fresh directory /tmp/<prefix>_XXXXXX, removed with everything
+ *  in it when the guard goes out of scope. @throws std::runtime_error
+ *  if the directory cannot be made. */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string& prefix)
+        : _path("/tmp/" + prefix + "_XXXXXX")
+    {
+        if (::mkdtemp(_path.data()) == nullptr)
+            throw std::runtime_error("mkdtemp failed for " + _path);
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;  // best effort: never throw from here
+        std::filesystem::remove_all(_path, ec);
+    }
+
+    TempDir(const TempDir&) = delete;
+    TempDir& operator=(const TempDir&) = delete;
+
+    const std::string& path() const { return _path; }
+
+  private:
+    std::string _path;
+};
 
 } // namespace testutil
 } // namespace procoup

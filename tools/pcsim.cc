@@ -11,9 +11,6 @@
  *   --machine FILE                     s-expression machine description
  *   --interconnect full|tri-port|dual-port|single-port|shared-bus
  *   --mem min|mem1|mem2                memory model preset
- *   --jobs N                           accepted for CLI uniformity with
- *                                      the bench harnesses (a single
- *                                      program is one sweep point)
  *   --dump-asm                         print the compiled assembly
  *   --dump-ir                          print the optimized IR
  *   --dump-schedule                    print Figure-1-style schedules
@@ -27,17 +24,23 @@
  *                                      stall-cause attribution
  *   --verify                           (with --benchmark) check results
  *   --sym NAME                         print a data symbol after the run
+ *   --cycle-cap N                      abort the run (SimError) after
+ *                                      N cycles
+ *   --deadline-ms T                    abort the run after T ms of
+ *                                      simulation wall-clock
+ *
+ * The flags shared with the bench/ harnesses, parsed by
+ * exp::HarnessOptions::parseSweepFlag (see exp/harness.hh); each
+ * value may follow as the next argument or after '=':
+ *   --jobs N                           accepted for CLI uniformity (a
+ *                                      single program is one point)
+ *   --sanitize[=N]                     re-validate simulator invariants
+ *                                      every N cycles (default 1024)
  *   --faults X                         attach a deterministic fault
  *                                      plan of intensity X (stats-json
  *                                      switches to procoup-stats/2
  *                                      with a "faults" block)
  *   --fault-seed S                     seed of the fault RNG stream
- *   --sanitize[=N]                     re-validate simulator invariants
- *                                      every N cycles (default 1024)
- *   --cycle-cap N                      abort the run (SimError) after
- *                                      N cycles
- *   --deadline-ms T                    abort the run after T ms of
- *                                      simulation wall-clock
  *   --fail-safe                        a simulation failure becomes a
  *                                      structured error record (and a
  *                                      "procoup-stats/2" error object
@@ -47,11 +50,6 @@
  *                                      completed run is recorded in
  *                                      DIR and replayed bit-identically
  *                                      on a rerun (see exp/journal.hh)
- *   --disk-cache DIR                   persistent compile cache shared
- *                                      across processes and runs
- *                                      (default: $PROCOUP_DISK_CACHE)
- *   --no-disk-cache                    ignore --disk-cache and the
- *                                      environment default
  *
  * The run itself goes through exp::SweepRunner as a one-point
  * ExperimentPlan sharing a compile cache with the dump path, exactly
@@ -74,9 +72,7 @@
 #include "procoup/config/presets.hh"
 #include "procoup/core/node.hh"
 #include "procoup/exp/cache.hh"
-#include "procoup/exp/plan.hh"
-#include "procoup/exp/runner.hh"
-#include "procoup/fault/fault.hh"
+#include "procoup/exp/harness.hh"
 #include "procoup/ir/frontend.hh"
 #include "procoup/isa/asmtext.hh"
 #include "procoup/opt/passes.hh"
@@ -133,7 +129,6 @@ struct Options
     config::MachineConfig machine = config::baseline();
     std::string source_file;
     std::string benchmark;
-    int jobs = 1;
     bool dump_asm = false;
     bool dump_ir = false;
     bool dump_schedule = false;
@@ -145,24 +140,22 @@ struct Options
     std::string stats_json;
     bool verify = false;
     std::vector<std::string> symbols;
-    double fault_intensity = 0.0;
-    std::uint64_t fault_seed = 1;
-    std::uint64_t sanitize_every = 0;
     std::uint64_t cycle_cap = 0;
     double deadline_ms = 0.0;
-    bool fail_safe = false;
-    std::string journal_dir;
-    std::string disk_cache_dir;
+
+    /** The shared flags; pcsim reads none of the harness-only
+     *  fields. */
+    exp::HarnessOptions sweep;
 };
 
 Options
 parseArgs(int argc, char** argv)
 {
     Options o;
-    if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
-        o.disk_cache_dir = env;
-    bool no_disk_cache = false;
+    o.sweep.jobs = 1;
     for (int i = 1; i < argc; ++i) {
+        if (o.sweep.parseSweepFlag(argc, argv, i, usage))
+            continue;
         const std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (++i >= argc)
@@ -193,11 +186,6 @@ parseArgs(int argc, char** argv)
                 usage(argv[0]);
         } else if (a == "--benchmark") {
             o.benchmark = next();
-        } else if (a == "--jobs") {
-            o.jobs = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (o.jobs < 1)
-                usage(argv[0]);
         } else if (a == "--dump-asm") {
             o.dump_asm = true;
         } else if (a == "--dump-ir") {
@@ -220,19 +208,6 @@ parseArgs(int argc, char** argv)
             o.verify = true;
         } else if (a == "--sym") {
             o.symbols.push_back(next());
-        } else if (a == "--faults") {
-            o.fault_intensity = std::strtod(next().c_str(), nullptr);
-            if (o.fault_intensity < 0.0)
-                usage(argv[0]);
-        } else if (a == "--fault-seed") {
-            o.fault_seed = std::strtoull(next().c_str(), nullptr, 10);
-        } else if (a == "--sanitize") {
-            o.sanitize_every = 1024;
-        } else if (a.rfind("--sanitize=", 0) == 0) {
-            o.sanitize_every =
-                std::strtoull(a.c_str() + 11, nullptr, 10);
-            if (o.sanitize_every == 0)
-                usage(argv[0]);
         } else if (a == "--cycle-cap") {
             o.cycle_cap = std::strtoull(next().c_str(), nullptr, 10);
             if (o.cycle_cap == 0)
@@ -241,22 +216,12 @@ parseArgs(int argc, char** argv)
             o.deadline_ms = std::strtod(next().c_str(), nullptr);
             if (o.deadline_ms <= 0.0)
                 usage(argv[0]);
-        } else if (a == "--fail-safe") {
-            o.fail_safe = true;
-        } else if (a == "--journal") {
-            o.journal_dir = next();
-        } else if (a == "--disk-cache") {
-            o.disk_cache_dir = next();
-        } else if (a == "--no-disk-cache") {
-            no_disk_cache = true;
         } else if (!a.empty() && a[0] == '-') {
             usage(argv[0]);
         } else {
             o.source_file = a;
         }
     }
-    if (no_disk_cache)
-        o.disk_cache_dir.clear();
     if (o.source_file.empty() == o.benchmark.empty())
         usage(argv[0]);  // exactly one input
     return o;
@@ -284,8 +249,6 @@ try {
     }
 
     exp::CompileCache cache;
-    if (!o.disk_cache_dir.empty())
-        cache.setDiskDir(o.disk_cache_dir);
     // Compile once for the dump output; the runner's own compile
     // of the same point is then a cache hit, never a second
     // compilation.
@@ -313,20 +276,12 @@ try {
                      o.machine.name),
         o.machine, source, o.mode);
 
-    if (o.fault_intensity > 0.0)
-        point.simOptions.faults =
-            fault::FaultPlan::atIntensity(o.fault_intensity,
-                                          o.fault_seed);
-    point.simOptions.sanitizeEveryCycles = o.sanitize_every;
+    o.sweep.applyTo(plan);
     point.simOptions.limits.maxCycles = o.cycle_cap;
     point.simOptions.limits.wallClockDeadlineMs = o.deadline_ms;
 
-    exp::RunnerOptions ropts;
-    ropts.jobs = o.jobs;
+    exp::RunnerOptions ropts = o.sweep.runnerOptions();
     ropts.cache = &cache;
-    ropts.failSafe = o.fail_safe;
-    ropts.journalDir = o.journal_dir;
-    ropts.diskCacheDir = o.disk_cache_dir;
 
     long traced = 0;
     std::vector<sim::TraceEvent> collected;
