@@ -85,6 +85,14 @@ struct BenchmarkSource
 /** Everything one run produces. */
 struct RunResult
 {
+    /**
+     * What result readback needs of the compile: program.symbols and
+     * program.memorySize, plus funcInfo when the run came from a sweep
+     * or runSource(). run() never copies the instruction stream (its
+     * program.threads stay empty); the caller's program, or the
+     * CompileCache entry of a sweep point, keeps owning it. Only
+     * runSource() moves its own, whole CompileResult in here.
+     */
     sched::CompileResult compiled;
     sim::RunStats stats;
 

@@ -72,23 +72,20 @@ HarnessOptions::parseSweepFlag(int argc, char** argv, int& i,
     const std::string a = argv[i];
     std::string v;
     if (flagValue("--jobs", argc, argv, i, &v, usage)) {
-        jobs = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-        if (jobs < 1)
+        if (!parseNumber(v, &jobs) || jobs < 1)
             usage(argv[0]);
     } else if (a == "--sanitize") {
         sanitizeEveryCycles = 1024;
     } else if (a.rfind("--sanitize=", 0) == 0) {
-        sanitizeEveryCycles = static_cast<std::uint64_t>(
-            std::strtoull(a.c_str() + 11, nullptr, 10));
-        if (sanitizeEveryCycles == 0)
+        if (!parseNumber(a.substr(11), &sanitizeEveryCycles) ||
+            sanitizeEveryCycles == 0)
             usage(argv[0]);
     } else if (flagValue("--faults", argc, argv, i, &v, usage)) {
-        faultIntensity = std::strtod(v.c_str(), nullptr);
-        if (faultIntensity < 0.0)
+        if (!parseNumber(v, &faultIntensity) || faultIntensity < 0.0)
             usage(argv[0]);
     } else if (flagValue("--fault-seed", argc, argv, i, &v, usage)) {
-        faultSeed = static_cast<std::uint64_t>(
-            std::strtoull(v.c_str(), nullptr, 10));
+        if (!parseNumber(v, &faultSeed))
+            usage(argv[0]);
     } else if (a == "--fail-safe") {
         failSafe = true;
     } else if (flagValue("--journal", argc, argv, i, &v, usage)) {
@@ -122,9 +119,7 @@ HarnessOptions::parse(int argc, char** argv)
         } else if (a == "--retry-faulted") {
             o.retryFaulted = true;
         } else if (flagValue("--retries", argc, argv, i, &v, usage)) {
-            o.retries =
-                static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-            if (o.retries < 0)
+            if (!parseNumber(v, &o.retries) || o.retries < 0)
                 usage(argv[0]);
         } else {
             usage(argv[0]);

@@ -11,7 +11,9 @@
  *
  * Flags every runner-based harness accepts. A flag that takes a
  * value accepts it as the next argument or after '=' (--jobs 4,
- * --jobs=4). The first six are also pcsim's (parseSweepFlag):
+ * --jobs=4). A numeric value must be the whole argument and in range
+ * (parseNumber in support/strings.hh): "3x", "abc" or an empty value
+ * is a usage error. The first six are also pcsim's (parseSweepFlag):
  *
  *   --jobs N            worker threads (default: hardware concurrency;
  *                       1 = legacy serial execution)

@@ -1,6 +1,7 @@
 #include "procoup/exp/journal.hh"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "procoup/support/strings.hh"
 
@@ -41,22 +42,24 @@ ResultsJournal::~ResultsJournal()
         std::fclose(_wal);
 }
 
-void
+std::size_t
 ResultsJournal::loadFrom(const std::string& path)
 {
     std::string bytes;
     if (!readWholeFile(path, &bytes))
-        return;
+        return 0;
     std::size_t offset = 0;
     std::string payload;
     // Stop at the first bad frame: everything after a torn or corrupt
     // record is unreachable (frames are self-delimiting), and a
     // discarded point simply re-executes.
     while (readFrame(bytes, offset, &payload)) {
-        OutcomeRecord rec;
-        if (decodeOutcomeRecord(payload, &rec))
-            _records[rec.pointFingerprint] = std::move(rec);
+        RunOutcome o;
+        std::string fp;
+        if (decodeOutcome(payload, &o, &fp))
+            _records[fp] = std::move(payload);
     }
+    return offset;
 }
 
 bool
@@ -72,10 +75,18 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
     loadFrom(_journalPath);
     _loadedFromFinalized = _records.size() > before;
     const std::size_t afterJournal = _records.size();
-    loadFrom(_walPath);
+    const std::size_t walGood = loadFrom(_walPath);
     _loadedFromWal = _records.size() > afterJournal;
 
+    // Cut a torn tail (a crash mid-append) off before appending: left
+    // between the loaded records and this session's, it would hide
+    // every later record from the next load.
     _wal = std::fopen(_walPath.c_str(), "ab");
+    if (_wal &&
+        ::ftruncate(::fileno(_wal), static_cast<off_t>(walGood)) != 0) {
+        std::fclose(_wal);
+        _wal = nullptr;
+    }
     if (!_wal) {
         _records.clear();
         return false;
@@ -95,25 +106,29 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
     return true;
 }
 
-const OutcomeRecord*
-ResultsJournal::find(const std::string& fingerprint) const
+bool
+ResultsJournal::find(const std::string& fingerprint,
+                     RunOutcome* outcome) const
 {
     const auto it = _records.find(fingerprint);
-    return it == _records.end() ? nullptr : &it->second;
+    std::string fp;
+    return it != _records.end() && decodeOutcome(it->second, outcome, &fp);
 }
 
 void
-ResultsJournal::append(const OutcomeRecord& rec)
+ResultsJournal::append(const RunOutcome& outcome,
+                       const std::string& fingerprint)
 {
     if (!_wal)
         return;
-    const std::string framed = frame(encodeOutcomeRecord(rec));
+    std::string payload = encodeOutcome(outcome, fingerprint);
+    const std::string framed = frame(payload);
     std::lock_guard<std::mutex> lock(_mu);
     // A single fwrite keeps the frame contiguous; the flush makes the
     // record durable against SIGKILL before the next point completes.
     std::fwrite(framed.data(), 1, framed.size(), _wal);
     std::fflush(_wal);
-    _records[rec.pointFingerprint] = rec;
+    _records[fingerprint] = std::move(payload);
     _appended = true;
 }
 
@@ -126,37 +141,26 @@ ResultsJournal::finalize()
     std::fclose(_wal);
     _wal = nullptr;
 
-    if (!_appended) {
-        if (_loadedFromWal) {
-            // Every record came back without executing anything, but
-            // some live only in the WAL — e.g. a graceful SIGTERM
-            // drain journaled the whole plan and exited before
-            // finalizing. Publish the union before dropping the WAL:
-            // removing it here would delete the only copy.
-            std::string merged;
-            for (const auto& [fp, rec] : _records)
-                merged += frame(encodeOutcomeRecord(rec));
-            if (atomicWriteFile(_journalPath, merged))
-                std::remove(_walPath.c_str());
-        } else {
-            // Fully replayed from a finalized journal: nothing new to
-            // publish; just drop the empty WAL opened for appending.
-            std::remove(_walPath.c_str());
-        }
-        return;
-    }
-    if (_loadedFromFinalized) {
-        // Resume appended past an already-finalized journal: publish
-        // the merged record set, then drop the WAL. Crash windows are
-        // safe — both files survive until the rename lands, and the
-        // loader unions them.
+    if (!_appended && !_loadedFromWal) {
+        // Fully replayed from a finalized journal: nothing new to
+        // publish; just drop the empty WAL opened for appending.
+        std::remove(_walPath.c_str());
+    } else if (_appended && !_loadedFromFinalized) {
+        std::rename(_walPath.c_str(), _journalPath.c_str());
+    } else {
+        // Publish the union of both files, then drop the WAL. Either
+        // a resume appended past an already-finalized journal, or
+        // every record came back without executing anything but some
+        // live only in the WAL — e.g. a graceful SIGTERM drain
+        // journaled the whole plan and exited before finalizing, so
+        // removing the WAL alone would delete the only copy. Crash
+        // windows are safe: both files survive until the rename
+        // lands, and the loader unions them.
         std::string merged;
-        for (const auto& [fp, rec] : _records)
-            merged += frame(encodeOutcomeRecord(rec));
+        for (const auto& [fp, payload] : _records)
+            merged += frame(payload);
         if (atomicWriteFile(_journalPath, merged))
             std::remove(_walPath.c_str());
-    } else {
-        std::rename(_walPath.c_str(), _journalPath.c_str());
     }
 }
 

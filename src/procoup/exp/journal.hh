@@ -12,8 +12,9 @@
  *
  * flushing after every append. Killing the process at any instant
  * loses at most the record being appended: the torn tail fails its
- * length/checksum check on the next open and is discarded, exactly
- * the crash-consistency discipline of a write-ahead log. When every
+ * length/checksum check on the next open and is cut off before that
+ * session appends, exactly the crash-consistency discipline of a
+ * write-ahead log. When every
  * journalable point of the plan has a record, finalize() publishes
  * the file as <plan-fingerprint>.journal via atomic rename (merging
  * an existing finalized journal when a resumed plan appended more).
@@ -69,14 +70,16 @@ class ResultsJournal
 
     bool isOpen() const { return _wal != nullptr; }
 
-    /** The loaded record for @p fingerprint, or nullptr. */
-    const OutcomeRecord* find(const std::string& fingerprint) const;
+    /** Decode the record for @p fingerprint into @p outcome (its
+     *  point unset); false if there is none. */
+    bool find(const std::string& fingerprint, RunOutcome* outcome) const;
 
     /** Number of records loaded at open(). */
     std::size_t loadedCount() const { return _records.size(); }
 
-    /** Append + flush one completed point (thread-safe). */
-    void append(const OutcomeRecord& rec);
+    /** Append + flush one completed point's @p outcome under its
+     *  point @p fingerprint (thread-safe). */
+    void append(const RunOutcome& outcome, const std::string& fingerprint);
 
     /**
      * Publish the WAL as the finalized journal via atomic rename.
@@ -95,9 +98,12 @@ class ResultsJournal
     const std::string& journalPath() const { return _journalPath; }
 
   private:
-    void loadFrom(const std::string& path);
+    /** Load @p path's valid records; returns the byte length of its
+     *  readable frame prefix (0 if it cannot be read). */
+    std::size_t loadFrom(const std::string& path);
 
-    std::map<std::string, OutcomeRecord> _records;
+    /** Point fingerprint -> its encoded record (frame payload). */
+    std::map<std::string, std::string> _records;
     std::string _walPath;
     std::string _journalPath;
     std::FILE* _wal = nullptr;

@@ -72,45 +72,20 @@ sweepStopRequested()
     return g_stopSignal.load() != 0;
 }
 
-/** Rehydrate an outcome for @p point from @p rec. Restores stats,
- *  memory, symbols, and schedule metadata — everything the render,
- *  report, and analysis paths read — but not the instruction stream. */
-RunOutcome
-makeRunOutcome(const OutcomeRecord& rec, const SweepPoint* point)
-{
-    RunOutcome o;
-    o.point = point;
-    o.failed = rec.failed;
-    o.errorKind = static_cast<SimErrorKind>(rec.errorKind);
-    o.errorCycle = rec.errorCycle;
-    o.error = rec.error;
-    o.retries = static_cast<int>(rec.retries);
-    o.compileCached = rec.compileCached;
-    o.wallMs = rec.wallMs;
-    if (!rec.failed) {
-        o.result.stats = rec.stats;
-        o.result.memory = rec.memory;
-        o.result.compiled.program.symbols = rec.symbols;
-        o.result.compiled.program.memorySize = rec.memorySize;
-        o.result.compiled.funcInfo = rec.funcInfo;
-    }
-    return o;
-}
-
-/** Do @p rec's per-FU and per-cluster stats vectors fit @p point's
- *  machine? A checksum-valid record that disagrees (written for
- *  another machine shape, or corrupted behind a valid checksum) must
- *  not replay: the report and stats renderers index these vectors by
- *  the machine's FU and cluster numbers. Failed records carry no
- *  stats and always fit. */
+/** Do the per-FU and per-cluster stats vectors of @p stored, a
+ *  journaled outcome, fit @p point's machine? A checksum-valid record
+ *  that disagrees (written for another machine shape, or corrupted
+ *  behind a valid checksum) must not replay: the report and stats
+ *  renderers index these vectors by the machine's FU and cluster
+ *  numbers. Failed records carry no stats and always fit. */
 bool
-recordFitsMachine(const OutcomeRecord& rec, const SweepPoint& point)
+recordFitsMachine(const RunOutcome& stored, const SweepPoint& point)
 {
-    if (rec.failed)
+    if (stored.failed)
         return true;
     const auto fus = static_cast<std::size_t>(point.machine.numFus());
     const std::size_t clusters = point.machine.clusters.size();
-    const sim::RunStats& st = rec.stats;
+    const sim::RunStats& st = stored.result.stats;
     return st.opsByFu.size() == fus && st.stallsByFu.size() == fus &&
            st.stallsByCluster.size() == clusters &&
            st.wbGrantsByCluster.size() == clusters &&
@@ -173,7 +148,7 @@ executeSweepPoint(const SweepPoint& point, CompileCache& cache,
     auto run_and_verify = [&](const sim::SimOptions& sim_opts) {
         out.result = node.run(compiled->program, sim_opts,
                               point.tracer, point.traceStalls);
-        out.result.compiled = *compiled;
+        out.result.compiled.funcInfo = compiled->funcInfo;
         if (!point.verifyBenchmark.empty()) {
             std::string why;
             if (!benchmarks::verify(point.verifyBenchmark, out.result,
@@ -225,29 +200,6 @@ executeSweepPoint(const SweepPoint& point, CompileCache& cache,
     return out;
 }
 
-OutcomeRecord
-makeOutcomeRecord(const RunOutcome& o, const std::string& fingerprint)
-{
-    OutcomeRecord rec;
-    rec.label = o.point ? o.point->label : "";
-    rec.pointFingerprint = fingerprint;
-    rec.failed = o.failed;
-    rec.errorKind = static_cast<std::uint8_t>(o.errorKind);
-    rec.errorCycle = o.errorCycle;
-    rec.error = o.error;
-    rec.retries = static_cast<std::uint32_t>(o.retries);
-    rec.compileCached = o.compileCached;
-    rec.wallMs = o.wallMs;
-    if (!o.failed) {
-        rec.stats = o.result.stats;
-        rec.memory = o.result.memory;
-        rec.symbols = o.result.compiled.program.symbols;
-        rec.memorySize = o.result.compiled.program.memorySize;
-        rec.funcInfo = o.result.compiled.funcInfo;
-    }
-    return rec;
-}
-
 SweepResult
 SweepRunner::run(const ExperimentPlan& plan)
 {
@@ -278,10 +230,10 @@ SweepRunner::run(const ExperimentPlan& plan)
         const SweepPoint& p = plan.points()[i];
         if (journal_on && !p.tracer) {
             fps[i] = pointFingerprint(p);
-            const OutcomeRecord* rec = journal.find(fps[i]);
-            if (rec && recordFitsMachine(*rec, p)) {
-                res.outcomes[i] = makeRunOutcome(*rec, &p);
-                res.outcomes[i].replayed = true;
+            RunOutcome& o = res.outcomes[i];
+            if (journal.find(fps[i], &o) && recordFitsMachine(o, p)) {
+                o.point = &p;
+                o.replayed = true;
                 ++res.replayedPoints;
                 continue;
             }
@@ -303,7 +255,7 @@ SweepRunner::run(const ExperimentPlan& plan)
                 executeSweepPoint(plan.points()[i], *_cache, _options);
             if (journal_on && !fps[i].empty() &&
                 (o.error.empty() || o.failed)) {
-                journal.append(makeOutcomeRecord(o, fps[i]));
+                journal.append(o, fps[i]);
                 ++journaled;
             }
         } catch (...) {

@@ -48,9 +48,8 @@
 
 #include "procoup/core/node.hh"
 #include "procoup/exp/cache.hh"
+#include "procoup/exp/outcome.hh"
 #include "procoup/exp/plan.hh"
-#include "procoup/exp/serialize.hh"
-#include "procoup/support/error.hh"
 
 namespace procoup {
 namespace exp {
@@ -95,36 +94,6 @@ struct RunnerOptions
     std::string journalDir;
 };
 
-/** What one executed sweep point produced. */
-struct RunOutcome
-{
-    const SweepPoint* point = nullptr;  ///< owned by the caller's plan
-    core::RunResult result;
-
-    /** Non-empty if verification failed (only seen by callers that
-     *  set exitOnVerifyFailure = false), or — with failed below — the
-     *  diagnostic dump of a fail-safe-captured simulation error. */
-    std::string error;
-
-    /** The simulation threw SimError and failSafe captured it; result
-     *  is empty and errorKind/errorCycle/error describe the failure. */
-    bool failed = false;
-    SimErrorKind errorKind = SimErrorKind::Runtime;
-    std::uint64_t errorCycle = 0;
-
-    /** Attempts beyond the first (reseeded-fault-plan retries). */
-    int retries = 0;
-
-    /** This point's compile was served from the compile cache. */
-    bool compileCached = false;
-
-    /** Restored from the results journal; nothing re-executed. */
-    bool replayed = false;
-
-    /** Wall-clock this point took (compile + simulate + verify). */
-    double wallMs = 0.0;
-};
-
 /** All outcomes of one plan execution, in plan order. */
 struct SweepResult
 {
@@ -148,10 +117,6 @@ struct SweepResult
  *  reseeded-fault retries. */
 RunOutcome executeSweepPoint(const SweepPoint& point, CompileCache& cache,
                              const RunnerOptions& options);
-
-/** Persistable snapshot of @p outcome (a journal record). */
-OutcomeRecord makeOutcomeRecord(const RunOutcome& outcome,
-                                const std::string& fingerprint);
 
 class SweepRunner
 {

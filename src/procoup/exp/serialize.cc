@@ -5,6 +5,7 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "procoup/exp/plan.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
@@ -539,75 +540,82 @@ writeCompileResult(ByteWriter& w, const sched::CompileResult& c)
 }
 
 std::string
-encodeOutcomeRecord(const OutcomeRecord& rec)
+encodeOutcome(const RunOutcome& o, const std::string& fingerprint)
 {
+    static const core::RunResult kEmpty;
+    const core::RunResult& r = o.failed ? kEmpty : o.result;
+    const std::string label = o.point ? o.point->label : "";
+
     // A small JSON meta-header leads the binary body so external
     // tooling (scripts/check_stats_schema.py --journal) can validate
-    // journal records without a C++ decoder.
+    // journal records without a C++ decoder. The threw byte is
+    // reserved and always 0.
     const std::string header = strCat(
-        "{\"label\": ", jsonQuote(rec.label), ", \"fingerprint\": ",
-        jsonQuote(rec.pointFingerprint), ", \"threw\": ",
-        static_cast<int>(rec.threw), ", \"failed\": ",
-        rec.failed ? "true" : "false", ", \"error_kind\": ",
-        jsonQuote(simErrorKindName(
-            static_cast<SimErrorKind>(rec.errorKind))),
-        ", \"retries\": ", rec.retries, ", \"compile_cached\": ",
-        rec.compileCached ? "true" : "false", "}");
+        "{\"label\": ", jsonQuote(label), ", \"fingerprint\": ",
+        jsonQuote(fingerprint), ", \"threw\": 0, \"failed\": ",
+        o.failed ? "true" : "false", ", \"error_kind\": ",
+        jsonQuote(simErrorKindName(o.errorKind)), ", \"retries\": ",
+        o.retries, ", \"compile_cached\": ",
+        o.compileCached ? "true" : "false", "}");
 
     ByteWriter w;
     w.str(header);
-    w.str(rec.label);
-    w.str(rec.pointFingerprint);
-    w.u8(rec.threw);
-    w.b(rec.failed);
-    w.u8(rec.errorKind);
-    w.u64(rec.errorCycle);
-    w.str(rec.error);
-    w.u32(rec.retries);
-    w.b(rec.compileCached);
-    w.f64(rec.wallMs);
-    writeRunStats(w, rec.stats);
-    w.u64(rec.memory.size());
-    for (const auto& v : rec.memory)
+    w.str(label);
+    w.str(fingerprint);
+    w.u8(0);  // threw
+    w.b(o.failed);
+    w.u8(static_cast<std::uint8_t>(o.errorKind));
+    w.u64(o.errorCycle);
+    w.str(o.error);
+    w.u32(static_cast<std::uint32_t>(o.retries));
+    w.b(o.compileCached);
+    w.f64(o.wallMs);
+    writeRunStats(w, r.stats);
+    w.u64(r.memory.size());
+    for (const auto& v : r.memory)
         writeValue(w, v);
-    writeSymbols(w, rec.symbols);
-    w.u32(rec.memorySize);
-    writeFuncInfo(w, rec.funcInfo);
+    writeSymbols(w, r.compiled.program.symbols);
+    w.u32(r.compiled.program.memorySize);
+    writeFuncInfo(w, r.compiled.funcInfo);
     return w.take();
 }
 
 bool
-decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec)
+decodeOutcome(const std::string& payload, RunOutcome* o,
+              std::string* fingerprint)
 {
+    *o = RunOutcome{};
     ByteReader r(payload);
     r.str();  // JSON meta-header: external tooling only
-    rec->label = r.str();
-    rec->pointFingerprint = r.str();
-    rec->threw = r.u8();
-    rec->failed = r.b();
-    rec->errorKind = r.u8();
-    if (rec->threw != 0 ||
-        rec->errorKind >
-            static_cast<std::uint8_t>(SimErrorKind::InvariantViolation))
+    r.str();  // label: the point supplies it on replay
+    *fingerprint = r.str();
+    const std::uint8_t threw = r.u8();
+    o->failed = r.b();
+    const std::uint8_t kind = r.u8();
+    if (threw != 0 ||
+        kind > static_cast<std::uint8_t>(SimErrorKind::InvariantViolation))
         return false;
-    rec->errorCycle = r.u64();
-    rec->error = r.str();
-    rec->retries = r.u32();
-    rec->compileCached = r.b();
-    rec->wallMs = r.f64();
-    if (!readRunStats(r, &rec->stats))
+    o->errorKind = static_cast<SimErrorKind>(kind);
+    o->errorCycle = r.u64();
+    o->error = r.str();
+    o->retries = static_cast<int>(r.u32());
+    o->compileCached = r.b();
+    o->wallMs = r.f64();
+    core::RunResult& res = o->result;
+    if (!readRunStats(r, &res.stats))
         return false;
     const std::uint64_t n = r.u64();
     if (!checkedSize(r, n))
         return false;
-    rec->memory.resize(n);
-    for (auto& v : rec->memory)
+    res.memory.resize(n);
+    for (auto& v : res.memory)
         if (!readValue(r, &v))
             return false;
-    if (!readSymbols(r, &rec->symbols))
+    if (!readSymbols(r, &res.compiled.program.symbols))
         return false;
-    rec->memorySize = r.u32();
-    return readFuncInfo(r, &rec->funcInfo) && !r.failed() && r.atEnd();
+    res.compiled.program.memorySize = r.u32();
+    return readFuncInfo(r, &res.compiled.funcInfo) && !r.failed() &&
+           r.atEnd();
 }
 
 bool

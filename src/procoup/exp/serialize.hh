@@ -7,7 +7,13 @@
  *
  * One consumer reads this byte format back: the results journal
  * (exp/journal.hh) persists executed sweep outcomes so interrupted
- * sweeps resume instead of re-running.
+ * sweeps resume instead of re-running. A journal record is a
+ * RunOutcome (exp/outcome.hh) plus its point fingerprint, encoded
+ * directly: a JSON meta-header for external tooling (label,
+ * fingerprint, a reserved always-zero threw byte, error kind), then
+ * the binary body — error fields, stats, memory image, symbol table,
+ * data-segment size and schedule diagnostics. No instruction stream
+ * is stored: a replayed point never re-simulates.
  *
  * The journal moves bytes between processes on the *same* host (same
  * toolchain, same endianness), so the encoding is native-endian
@@ -29,11 +35,9 @@
  */
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "procoup/core/node.hh"
+#include "procoup/exp/outcome.hh"
 #include "procoup/sched/compiler.hh"
 #include "procoup/sim/stats.hh"
 
@@ -129,42 +133,19 @@ void writeProgram(ByteWriter& w, const isa::Program& p);
 void writeCompileResult(ByteWriter& w, const sched::CompileResult& c);
 
 /**
- * The persisted subset of one executed sweep point — everything the
- * render/report/analysis paths read from a RunOutcome, minus the
- * compiled instruction stream (replayed points never re-simulate, so
- * only the program's symbol table, needed for result readback, is
- * kept).
+ * One journal record: @p outcome under its point @p fingerprint. The
+ * label comes from outcome.point (empty without one). A failed
+ * outcome is stored with an empty result.
  */
-struct OutcomeRecord
-{
-    std::string label;
-    std::string pointFingerprint;
+std::string encodeOutcome(const RunOutcome& outcome,
+                          const std::string& fingerprint);
 
-    /** Reserved; always 0. Kept so records written by earlier
-     *  versions decode without a format bump; a record with any other
-     *  value is rejected (its point re-executes). */
-    std::uint8_t threw = 0;
-
-    bool failed = false;
-    std::uint8_t errorKind = 0;
-    std::uint64_t errorCycle = 0;
-    std::string error;
-    std::uint32_t retries = 0;
-    bool compileCached = false;
-    double wallMs = 0.0;
-
-    sim::RunStats stats;
-    std::vector<isa::Value> memory;
-    std::map<std::string, isa::Symbol> symbols;
-    std::uint32_t memorySize = 0;
-    std::vector<sched::FuncScheduleInfo> funcInfo;
-};
-
-std::string encodeOutcomeRecord(const OutcomeRecord& rec);
-
-/** False for a malformed payload, and for a record whose threw byte
- *  is nonzero or whose errorKind names no current SimErrorKind. */
-bool decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec);
+/** Decode a journal record into @p outcome (its point unset) and
+ *  @p fingerprint. False for a malformed payload, and for a record
+ *  whose reserved threw byte is nonzero or whose error kind names no
+ *  current SimErrorKind. */
+bool decodeOutcome(const std::string& payload, RunOutcome* outcome,
+                   std::string* fingerprint);
 
 /** Write @p bytes to @p path via same-directory temp file + rename;
  *  returns false (and cleans up) on any I/O error. */

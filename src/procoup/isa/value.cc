@@ -27,7 +27,7 @@ Value::makeFloat(double v)
 std::int64_t
 Value::asInt() const
 {
-    return floatTag ? static_cast<std::int64_t>(fval) : ival;
+    return floatTag ? truncToInt(fval) : ival;
 }
 
 double

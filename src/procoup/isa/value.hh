@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace procoup {
@@ -27,7 +28,7 @@ class Value
 
     bool isFloat() const { return floatTag; }
 
-    /** Integer view; converts (truncates) if the word holds a float. */
+    /** Integer view; converts a float with truncToInt(). */
     std::int64_t asInt() const;
 
     /** Float view; converts if the word holds an integer. */
@@ -84,6 +85,21 @@ inline std::int64_t
 wrapNeg(std::int64_t a)
 {
     return wrapSub(0, a);
+}
+
+/**
+ * The one float-to-integer conversion: FTOI, (int x) and every float
+ * operand of an integer op, at run time and in every constant fold.
+ * Truncates toward zero. NaN, infinities and |x| >= 2^63 give
+ * INT64_MIN, the value x86's cvttsd2si returns for them, so the
+ * result is defined everywhere and matches the hardware cast.
+ */
+inline std::int64_t
+truncToInt(double x)
+{
+    if (!(x >= -0x1p63 && x < 0x1p63))
+        return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(x);
 }
 
 /** a << (b mod 64). */

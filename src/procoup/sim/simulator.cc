@@ -34,7 +34,7 @@ Simulator::Simulator(const config::MachineConfig& machine,
               static_cast<int>(machine.clusters.size())),
       opCaches(machine.opCache, machine.numFus())
 {
-    config::validateProgram(this->program, machine);
+    config::validateProgram(program, machine);
 
     for (int fu = 0; fu < machine.numFus(); ++fu) {
         FuState f;
@@ -65,9 +65,9 @@ Simulator::Simulator(const config::MachineConfig& machine,
     // Slot index (validateProgram guarantees fu < numFus and at most
     // one operation per (row, fu)).
     const std::size_t nf = fus.size();
-    slotIndex.resize(this->program.threads.size());
-    for (std::size_t c = 0; c < this->program.threads.size(); ++c) {
-        const auto& code = this->program.threads[c];
+    slotIndex.resize(program.threads.size());
+    for (std::size_t c = 0; c < program.threads.size(); ++c) {
+        const auto& code = program.threads[c];
         auto& idx = slotIndex[c];
         idx.assign(code.instructions.size() * nf, -1);
         for (std::size_t row = 0; row < code.instructions.size();
@@ -103,7 +103,7 @@ Simulator::Simulator(const config::MachineConfig& machine,
                  opts.limits.wallClockDeadlineMs > 0.0 ||
                  opts.sanitizeEveryCycles > 0 || nextOpcacheFlush > 0;
 
-    spawnThread(this->program.entry, {});
+    spawnThread(program.entry, {});
 }
 
 Simulator::~Simulator() = default;

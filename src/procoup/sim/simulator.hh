@@ -96,11 +96,21 @@ class Simulator
   public:
     /**
      * Bind a program to a machine. The program is validated against
-     * the machine first; the entry thread is spawned at cycle 0.
+     * the machine first (it may come from outside the compiler, e.g.
+     * parsed assembly); the entry thread is spawned at cycle 0.
+     *
+     * Lifetime: the simulator borrows @p machine and @p program, which
+     * must outlive it (a sweep's CompileCache owns the program; the
+     * point owns the machine). Temporaries are rejected at compile
+     * time by the deleted overloads below. @p options is copied.
      */
     Simulator(const config::MachineConfig& machine,
               const isa::Program& program,
               const SimOptions& options = {});
+    Simulator(config::MachineConfig&&, const isa::Program&,
+              const SimOptions& = {}) = delete;
+    Simulator(const config::MachineConfig&, isa::Program&&,
+              const SimOptions& = {}) = delete;
 
     ~Simulator();
 
@@ -282,10 +292,8 @@ class Simulator
     /** --sanitize re-validation; throws SimError(InvariantViolation). */
     void sanitizeCheck() const;
 
-    config::MachineConfig machine;
-
-    /** Owned copy: the simulator outlives any caller temporary. */
-    isa::Program program;
+    const config::MachineConfig& machine;
+    const isa::Program& program;
 
     SimOptions opts;
 

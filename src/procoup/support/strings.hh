@@ -8,8 +8,13 @@
  * diagnostics.
  */
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace procoup {
@@ -52,6 +57,29 @@ std::string fixed(double v, int decimals);
 /** Quote and escape @p s as a JSON string literal (including the
  *  surrounding double quotes). */
 std::string jsonQuote(const std::string& s);
+
+/**
+ * Parse all of @p text as a T: a base-10 integer, or a finite
+ * floating-point value. False — @p out untouched — for empty text, a
+ * sign or other character that is not part of the number (leading
+ * whitespace, trailing garbage such as "3x"), and a value outside T's
+ * range. The one number parser of every command-line flag.
+ */
+template <typename T>
+bool
+parseNumber(std::string_view text, T* out)
+{
+    T v{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    if constexpr (std::is_floating_point_v<T>)
+        if (!std::isfinite(v))
+            return false;
+    *out = v;
+    return true;
+}
 
 } // namespace procoup
 

@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <string>
 
+#include "procoup/exp/cache.hh"
 #include "procoup/gen/generator.hh"
 #include "procoup/gen/soak.hh"
 #include "slow_reference_sim.hh"
@@ -31,13 +33,19 @@ namespace {
  *  anything near this bound means the slow sim diverged into a spin. */
 constexpr std::uint64_t kReplayCycleCap = 250000;
 
+/** Outcomes carry no instruction stream, so the oracle compiles each
+ *  point's program again through its own cache (compilation is a pure
+ *  function of the point, so this is the program the sweep ran). */
 gen::CrossCheck
 slowSimOracle()
 {
-    return [](const exp::SweepPoint& pt,
-              const core::RunResult& r) -> std::string {
+    auto cache = std::make_shared<exp::CompileCache>();
+    return [cache](const exp::SweepPoint& pt,
+                   const core::RunResult& r) -> std::string {
+        const auto compiled =
+            cache->compile(pt.source, pt.machine, pt.options);
         simtest::SlowReferenceSimulator slow(
-            pt.machine, r.compiled.program, pt.simOptions);
+            pt.machine, compiled->program, pt.simOptions);
         try {
             while (slow.step())
                 if (slow.cycle() > kReplayCycleCap)

@@ -75,75 +75,155 @@ TEST(Serialize, FrameRoundTripAndCorruptionDetection)
     EXPECT_EQ(offset, two.size());
 }
 
-TEST(Serialize, OutcomeRecordRoundTrip)
+/** A fixed executed outcome: the journal body exercises every
+ *  field (stats vectors, both value tags, symbols, funcInfo). */
+exp::RunOutcome
+fixedExecutedOutcome(const exp::SweepPoint& point)
 {
-    exp::OutcomeRecord rec;
-    rec.label = "point-a";
-    rec.pointFingerprint = "deadbeefdeadbeef";
-    rec.failed = true;
-    rec.errorKind = 3;
-    rec.errorCycle = 12345;
-    rec.error = "deadlock at cycle 12345";
-    rec.retries = 2;
-    rec.compileCached = true;
-    rec.wallMs = 1.5;
-    rec.stats.cycles = 777;
-    rec.memory.push_back(isa::Value::makeInt(9));
-    rec.symbols["out"] = isa::Symbol{4, 2};
-    rec.memorySize = 64;
-
-    exp::OutcomeRecord back;
-    ASSERT_TRUE(
-        exp::decodeOutcomeRecord(exp::encodeOutcomeRecord(rec), &back));
-    EXPECT_EQ(back.label, rec.label);
-    EXPECT_EQ(back.pointFingerprint, rec.pointFingerprint);
-    EXPECT_EQ(back.failed, rec.failed);
-    EXPECT_EQ(back.errorKind, rec.errorKind);
-    EXPECT_EQ(back.errorCycle, rec.errorCycle);
-    EXPECT_EQ(back.error, rec.error);
-    EXPECT_EQ(back.retries, rec.retries);
-    EXPECT_EQ(back.compileCached, rec.compileCached);
-    EXPECT_EQ(back.wallMs, rec.wallMs);
-    EXPECT_EQ(back.stats.cycles, 777u);
-    ASSERT_EQ(back.memory.size(), 1u);
-    EXPECT_TRUE(back.memory[0] == rec.memory[0]);
-    ASSERT_EQ(back.symbols.count("out"), 1u);
-    EXPECT_EQ(back.symbols["out"].base, 4u);
-    EXPECT_EQ(back.symbols["out"].size, 2u);
-    EXPECT_EQ(back.memorySize, 64u);
-
-    EXPECT_FALSE(exp::decodeOutcomeRecord("garbage", &back));
+    exp::RunOutcome o;
+    o.point = &point;
+    o.retries = 1;
+    o.compileCached = true;
+    o.wallMs = 2.25;
+    sim::RunStats& st = o.result.stats;
+    st.cycles = 618;
+    st.totalOps = 5117;
+    st.opsByFu = {3, 4};
+    st.stallsByFu.resize(2);
+    st.stallsByCluster.resize(1);
+    st.wbGrantsByCluster = {5};
+    st.wbDenialsByCluster = {6};
+    st.threadsSpawned = 2;
+    o.result.memory = {isa::Value::makeInt(-7), isa::Value::makeFloat(0.5)};
+    o.result.compiled.program.symbols["out"] = isa::Symbol{0, 2};
+    o.result.compiled.program.memorySize = 2;
+    sched::FuncScheduleInfo f;
+    f.name = "main";
+    f.blockRows = {3, 1};
+    f.totalRows = 4;
+    f.totalOps = 9;
+    f.copiesInserted = 1;
+    f.regCount = {5, 2};
+    o.result.compiled.funcInfo = {f};
+    return o;
 }
 
-TEST(Serialize, OutcomeRecordDecoderValidatesErrorFields)
+/** A fixed fail-safe-captured outcome. */
+exp::RunOutcome
+fixedFailedOutcome(const exp::SweepPoint& point)
 {
-    exp::OutcomeRecord rec;
-    rec.label = "point-a";
-    rec.pointFingerprint = "deadbeefdeadbeef";
-    rec.failed = true;
-    rec.errorKind =
-        static_cast<std::uint8_t>(SimErrorKind::InvariantViolation);
-    exp::OutcomeRecord back;
-    EXPECT_TRUE(
-        exp::decodeOutcomeRecord(exp::encodeOutcomeRecord(rec), &back));
+    exp::RunOutcome o;
+    o.point = &point;
+    o.failed = true;
+    o.errorKind = SimErrorKind::Deadlock;
+    o.errorCycle = 300;
+    o.error = "deadlock at cycle 300";
+    o.retries = 2;
+    o.wallMs = 0.5;
+    return o;
+}
+
+std::string
+compileBytes(const sched::CompileResult& c)
+{
+    exp::ByteWriter w;
+    exp::writeCompileResult(w, c);
+    return w.take();
+}
+
+TEST(Serialize, OutcomeRoundTrip)
+{
+    exp::SweepPoint point;
+    point.label = "point-a";
+    const exp::RunOutcome executed = fixedExecutedOutcome(point);
+
+    exp::RunOutcome back;
+    std::string fp;
+    ASSERT_TRUE(exp::decodeOutcome(
+        exp::encodeOutcome(executed, "deadbeefdeadbeef"), &back, &fp));
+    EXPECT_EQ(fp, "deadbeefdeadbeef");
+    EXPECT_EQ(back.point, nullptr);
+    EXPECT_FALSE(back.failed);
+    EXPECT_EQ(back.retries, 1);
+    EXPECT_TRUE(back.compileCached);
+    EXPECT_EQ(back.wallMs, 2.25);
+    EXPECT_TRUE(back.result.stats == executed.result.stats);
+    EXPECT_TRUE(back.result.memory == executed.result.memory);
+    EXPECT_EQ(compileBytes(back.result.compiled),
+              compileBytes(executed.result.compiled));
+
+    // A failed outcome keeps its error fields and stores an empty
+    // result, whatever its in-memory result held.
+    exp::RunOutcome failed = fixedFailedOutcome(point);
+    failed.result.stats.cycles = 777;
+    ASSERT_TRUE(exp::decodeOutcome(exp::encodeOutcome(failed, "f00d"),
+                                   &back, &fp));
+    EXPECT_EQ(fp, "f00d");
+    EXPECT_TRUE(back.failed);
+    EXPECT_EQ(back.errorKind, SimErrorKind::Deadlock);
+    EXPECT_EQ(back.errorCycle, 300u);
+    EXPECT_EQ(back.error, failed.error);
+    EXPECT_EQ(back.retries, 2);
+    EXPECT_FALSE(back.compileCached);
+    EXPECT_TRUE(back.result.stats == sim::RunStats{});
+    EXPECT_TRUE(back.result.memory.empty());
+    EXPECT_TRUE(back.result.compiled.program.symbols.empty());
+
+    EXPECT_FALSE(exp::decodeOutcome("garbage", &back, &fp));
+}
+
+/** Journals on disk use this encoding (kFormatVersion 1): the digests
+ *  of the encoded fixed outcomes must not change without a version
+ *  bump. */
+TEST(Serialize, OutcomeEncodingIsPinned)
+{
+    exp::SweepPoint a;
+    a.label = "point-a";
+    exp::SweepPoint b;
+    b.label = "point-b";
+    EXPECT_EQ(exp::fnv1a64(exp::encodeOutcome(fixedExecutedOutcome(a),
+                                              "0123456789abcdef")),
+              0x86fbb0b3f3098815ull);
+    EXPECT_EQ(exp::fnv1a64(exp::encodeOutcome(fixedFailedOutcome(b),
+                                              "fedcba9876543210")),
+              0xcbc6ea086c9e3494ull);
+}
+
+TEST(Serialize, OutcomeDecoderValidatesErrorFields)
+{
+    exp::SweepPoint point;
+    point.label = "point-a";
+    exp::RunOutcome o;
+    o.point = &point;
+    o.failed = true;
+    o.errorKind = SimErrorKind::InvariantViolation;
+    exp::RunOutcome back;
+    std::string fp;
+    const std::string good = exp::encodeOutcome(o, "deadbeefdeadbeef");
+    EXPECT_TRUE(exp::decodeOutcome(good, &back, &fp));
 
     // Kinds past the taxonomy (5..7 were worker-crash, worker-timeout
     // and worker-lost in earlier versions) must not replay as another
     // kind.
     for (int kind = 5; kind < 256; ++kind) {
-        rec.errorKind = static_cast<std::uint8_t>(kind);
-        EXPECT_FALSE(exp::decodeOutcomeRecord(
-            exp::encodeOutcomeRecord(rec), &back))
+        o.errorKind = static_cast<SimErrorKind>(kind);
+        EXPECT_FALSE(exp::decodeOutcome(
+            exp::encodeOutcome(o, "deadbeefdeadbeef"), &back, &fp))
             << kind;
     }
 
-    // The threw byte is reserved: only 0 decodes.
-    rec.errorKind = 0;
+    // The threw byte, after the meta-header, label and fingerprint,
+    // is reserved: only 0 decodes.
+    exp::ByteReader r(good);
+    r.str();
+    r.str();
+    r.str();
+    const std::size_t threwAt = good.size() - r.remaining();
+    ASSERT_EQ(good[threwAt], 0);
     for (int threw = 1; threw < 4; ++threw) {
-        rec.threw = static_cast<std::uint8_t>(threw);
-        EXPECT_FALSE(exp::decodeOutcomeRecord(
-            exp::encodeOutcomeRecord(rec), &back))
-            << threw;
+        std::string evil = good;
+        evil[threwAt] = static_cast<char>(threw);
+        EXPECT_FALSE(exp::decodeOutcome(evil, &back, &fp)) << threw;
     }
 }
 
@@ -154,13 +234,13 @@ TEST(Journal, RecordWithRetiredErrorKindReExecutes)
     {
         exp::ResultsJournal j;
         ASSERT_TRUE(j.open(dir.path(), plan));
-        exp::OutcomeRecord rec;
-        rec.label = plan.points()[0].label;
-        rec.pointFingerprint = exp::pointFingerprint(plan.points()[0]);
-        rec.failed = true;
-        rec.errorKind = 5;  // worker-crash, before it was retired
-        rec.error = "worker process died";
-        j.append(rec);
+        exp::RunOutcome o;
+        o.point = &plan.points()[0];
+        o.failed = true;
+        // worker-crash, before it was retired
+        o.errorKind = static_cast<SimErrorKind>(5);
+        o.error = "worker process died";
+        j.append(o, exp::pointFingerprint(plan.points()[0]));
     }
 
     exp::RunnerOptions ropts;
@@ -185,11 +265,11 @@ TEST(Journal, RecordWithMisshapenStatsReExecutes)
         static_cast<std::size_t>(point.machine.numFus());
     const std::size_t clusters = point.machine.clusters.size();
     exp::CompileCache cache;
-    const exp::OutcomeRecord good = exp::makeOutcomeRecord(
-        exp::executeSweepPoint(point, cache, exp::RunnerOptions{}),
-        exp::pointFingerprint(point));
-    ASSERT_EQ(good.stats.opsByFu.size(), fus);
-    ASSERT_EQ(good.stats.stallsByCluster.size(), clusters);
+    const exp::RunOutcome good =
+        exp::executeSweepPoint(point, cache, exp::RunnerOptions{});
+    const std::string fp = exp::pointFingerprint(point);
+    ASSERT_EQ(good.result.stats.opsByFu.size(), fus);
+    ASSERT_EQ(good.result.stats.stallsByCluster.size(), clusters);
 
     using Mutate = void (*)(sim::RunStats&);
     const Mutate mutations[] = {
@@ -206,9 +286,9 @@ TEST(Journal, RecordWithMisshapenStatsReExecutes)
         {
             exp::ResultsJournal j;
             ASSERT_TRUE(j.open(dir.path(), plan));
-            exp::OutcomeRecord bad = good;
-            mutate(bad.stats);
-            j.append(bad);
+            exp::RunOutcome bad = good;
+            mutate(bad.result.stats);
+            j.append(bad, fp);
         }
         exp::RunnerOptions ropts;
         ropts.jobs = 1;
@@ -216,7 +296,7 @@ TEST(Journal, RecordWithMisshapenStatsReExecutes)
         const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
         EXPECT_EQ(res.replayedPoints, 0u);
         EXPECT_FALSE(res.outcomes[0].replayed);
-        EXPECT_TRUE(res.outcomes[0].result.stats == good.stats);
+        EXPECT_TRUE(res.outcomes[0].result.stats == good.result.stats);
     }
 
     // The unmodified record still replays.
@@ -224,7 +304,7 @@ TEST(Journal, RecordWithMisshapenStatsReExecutes)
     {
         exp::ResultsJournal j;
         ASSERT_TRUE(j.open(dir.path(), plan));
-        j.append(good);
+        j.append(good, fp);
     }
     exp::RunnerOptions ropts;
     ropts.jobs = 1;
@@ -239,10 +319,9 @@ TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
     const auto plan = smallPlan();
     const exp::SweepPoint& point = plan.points()[0];
     exp::CompileCache cache;
-    const std::string payload =
-        exp::encodeOutcomeRecord(exp::makeOutcomeRecord(
-            exp::executeSweepPoint(point, cache, exp::RunnerOptions{}),
-            exp::pointFingerprint(point)));
+    const std::string payload = exp::encodeOutcome(
+        exp::executeSweepPoint(point, cache, exp::RunnerOptions{}),
+        exp::pointFingerprint(point));
 
     const testutil::TempDir dir("procoup_journal");
     std::string wal;
@@ -259,13 +338,13 @@ TEST(Journal, MutatedRecordPayloadsAreRejectedOrDecodeSafely)
     int rejected = 0;
     for (int i = 0; i < 2000; ++i) {
         const std::string evil = testutil::mutateBytes(payload, rng);
-        exp::OutcomeRecord rec;
-        if (!exp::decodeOutcomeRecord(evil, &rec)) {
+        exp::RunOutcome o;
+        std::string fp;
+        if (!exp::decodeOutcome(evil, &o, &fp)) {
             ++rejected;
         } else {
-            EXPECT_EQ(rec.threw, 0u);
-            EXPECT_LE(rec.errorKind, static_cast<std::uint8_t>(
-                                         SimErrorKind::InvariantViolation));
+            EXPECT_LE(static_cast<int>(o.errorKind),
+                      static_cast<int>(SimErrorKind::InvariantViolation));
         }
         if (i % 20 == 0) {
             // The journal loader over the same bytes.
@@ -302,13 +381,25 @@ TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)
     // Zero recompiles: replay never touches the compiler.
     EXPECT_EQ(second.cache().stats().misses, 0u);
 
+    // An executed and a replayed outcome carry the same result: stats,
+    // memory, symbols, data-segment size and funcInfo, and neither
+    // holds an instruction stream (the CompileCache owns programs).
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+        SCOPED_TRACE(plan.points()[i].label);
+        const core::RunResult& ra = a.outcomes[i].result;
+        const core::RunResult& rb = b.outcomes[i].result;
+        EXPECT_FALSE(a.outcomes[i].replayed);
         EXPECT_TRUE(b.outcomes[i].replayed);
-        EXPECT_TRUE(a.outcomes[i].result.stats ==
-                    b.outcomes[i].result.stats);
-        EXPECT_TRUE(a.outcomes[i].result.memory ==
-                    b.outcomes[i].result.memory);
+        EXPECT_EQ(b.outcomes[i].point, &plan.points()[i]);
+        EXPECT_TRUE(ra.stats == rb.stats);
+        EXPECT_TRUE(ra.memory == rb.memory);
+        EXPECT_FALSE(ra.compiled.program.symbols.empty());
+        EXPECT_GT(ra.compiled.program.memorySize, 0u);
+        EXPECT_FALSE(ra.compiled.funcInfo.empty());
+        EXPECT_TRUE(ra.compiled.program.threads.empty());
+        EXPECT_TRUE(rb.compiled.program.threads.empty());
+        EXPECT_EQ(compileBytes(ra.compiled), compileBytes(rb.compiled));
     }
     // The render-facing JSON is byte-identical too.
     EXPECT_EQ(exp::formatStatsBundle(a), exp::formatStatsBundle(b));
@@ -327,8 +418,7 @@ TEST(Journal, PartialJournalExecutesOnlyTheRemainder)
         exp::RunnerOptions popts;
         const exp::RunOutcome one =
             exp::executeSweepPoint(plan.points()[0], cache, popts);
-        j.append(exp::makeOutcomeRecord(
-            one, exp::pointFingerprint(plan.points()[0])));
+        j.append(one, exp::pointFingerprint(plan.points()[0]));
         // No finalize: the WAL alone must carry the resume.
     }
 
@@ -368,6 +458,47 @@ TEST(Journal, TornTailDiscardsOnlyTheTornRecord)
     const exp::SweepResult res = resumed.run(plan);
     EXPECT_EQ(res.replayedPoints, plan.size() - 1);
     EXPECT_EQ(res.failedCount(), 0u);
+}
+
+/** A crash mid-append leaves a torn frame at the end of the WAL. The
+ *  resumed session must append after the last good frame, not after
+ *  the torn bytes, or every record it journals is unreachable. */
+TEST(Journal, ResumeAfterTornWalTailKeepsLaterRecords)
+{
+    const testutil::TempDir dir("procoup_journal");
+    const auto plan = smallPlan();
+    exp::CompileCache cache;
+    const exp::RunOutcome first =
+        exp::executeSweepPoint(plan.points()[0], cache, {});
+    std::string wal;
+    {
+        exp::ResultsJournal j;
+        ASSERT_TRUE(j.open(dir.path(), plan));
+        j.append(first, exp::pointFingerprint(plan.points()[0]));
+        j.close();
+        wal = j.walPath();
+    }
+    std::string bytes;
+    ASSERT_TRUE(exp::readWholeFile(wal, &bytes));
+    const std::string torn = exp::frame(
+        exp::encodeOutcome(first, exp::pointFingerprint(plan.points()[1])));
+    ASSERT_TRUE(exp::atomicWriteFile(
+        wal, bytes + torn.substr(0, torn.size() / 2)));
+
+    // Resume: the first point replays, the other two execute and are
+    // journaled; the published journal then holds all three.
+    exp::RunnerOptions ropts;
+    ropts.jobs = 1;
+    ropts.journalDir = dir.path();
+    const exp::SweepResult res = exp::SweepRunner(ropts).run(plan);
+    EXPECT_EQ(res.replayedPoints, 1u);
+    {
+        exp::ResultsJournal j;
+        ASSERT_TRUE(j.open(dir.path(), plan));
+        EXPECT_EQ(j.loadedCount(), plan.size());
+    }
+    const exp::SweepResult again = exp::SweepRunner(ropts).run(plan);
+    EXPECT_EQ(again.replayedPoints, plan.size());
 }
 
 TEST(Journal, FingerprintChangeInvalidatesOnlyThatPoint)
@@ -460,10 +591,9 @@ TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
         exp::ResultsJournal j;
         ASSERT_TRUE(j.open(dir.path(), plan));
         for (const auto& p : plan.points()) {
-            exp::OutcomeRecord rec;
-            rec.label = p.label;
-            rec.pointFingerprint = exp::pointFingerprint(p);
-            j.append(rec);
+            exp::RunOutcome o;
+            o.point = &p;
+            j.append(o, exp::pointFingerprint(p));
         }
         j.close();
         std::ifstream wal(j.walPath());
@@ -488,8 +618,10 @@ TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
     exp::ResultsJournal j;
     ASSERT_TRUE(j.open(dir.path(), plan));
     EXPECT_EQ(j.loadedCount(), plan.size());
-    for (const auto& p : plan.points())
-        EXPECT_NE(j.find(exp::pointFingerprint(p)), nullptr);
+    for (const auto& p : plan.points()) {
+        exp::RunOutcome o;
+        EXPECT_TRUE(j.find(exp::pointFingerprint(p), &o));
+    }
 }
 
 } // namespace

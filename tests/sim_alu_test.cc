@@ -155,6 +155,37 @@ TEST(Alu, Conversions)
               -2);
 }
 
+TEST(Alu, FloatToIntIsDefinedEverywhere)
+{
+    // NaN, infinities and |x| >= 2^63 give INT64_MIN (x86 cvttsd2si);
+    // everything else truncates toward zero.
+    const struct
+    {
+        double in;
+        std::int64_t want;
+    } cases[] = {
+        {std::nan(""), kMin}, {HUGE_VAL, kMin}, {-HUGE_VAL, kMin},
+        {1e30, kMin},         {-1e30, kMin},    {0x1p63, kMin},
+        {-0x1p63, kMin},      {-0.5, 0},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.in);
+        EXPECT_EQ(isa::truncToInt(c.in), c.want);
+        EXPECT_EQ(Value::makeFloat(c.in).asInt(), c.want);
+        EXPECT_EQ(evalAlu(Opcode::FTOI, {Value::makeFloat(c.in)}).rawInt(),
+                  c.want);
+    }
+    // The largest double below 2^63 still converts exactly.
+    const double top = std::nextafter(0x1p63, 0.0);
+    EXPECT_EQ(isa::truncToInt(top), 9223372036854774784);
+    EXPECT_EQ(isa::truncToInt(-top), -9223372036854774784);
+    // A float operand of an integer op converts the same way.
+    EXPECT_EQ(evalAlu(Opcode::IADD, {Value::makeFloat(1e30),
+                                     Value::makeInt(1)})
+                  .rawInt(),
+              kMin + 1);
+}
+
 TEST(Alu, MovesPreserveTags)
 {
     const Value fi = evalAlu(Opcode::MOV, {Value::makeFloat(1.25)});
@@ -206,26 +237,31 @@ TEST(Alu, ConstantFoldingWrapsLikeTheAlu)
         "(defvar c1 (+ 9223372036854775807 1))"
         "(defvar c2 (/ (- (- 0 9223372036854775807) 1) -1))"
         "(defvar c3 (mod (- (- 0 9223372036854775807) 1) -1))"
+        "(defarray fin (1) :init (1e30))"
         "(defvar c4 (- (- (- 0 9223372036854775807) 1)))"
-        "(defarray folded (5) :int)"
-        "(defarray optimized (2) :int)"
-        "(defarray run (5) :int)"
+        "(defvar c5 (int 1e30))"
+        "(defarray folded (6) :int)"
+        "(defarray optimized (3) :int)"
+        "(defarray run (6) :int)"
         "(defun main ()"
         "  (aset folded 0 (* 752846022855 752846022864))"
         "  (aset folded 1 (+ 9223372036854775807 1))"
         "  (aset folded 2 (/ (- (- 0 9223372036854775807) 1) -1))"
         "  (aset folded 3 (mod (- (- 0 9223372036854775807) 1) -1))"
         "  (aset folded 4 (- (- (- 0 9223372036854775807) 1)))"
-        "  (let ((m (- (- 0 9223372036854775807) 1)))"
+        "  (aset folded 5 (int 1e30))"
+        "  (let ((m (- (- 0 9223372036854775807) 1)) (x 1e30))"
         "    (aset optimized 0 (/ m -1))"
-        "    (aset optimized 1 (mod m -1)))"
+        "    (aset optimized 1 (mod m -1))"
+        "    (aset optimized 2 (int x)))"
         "  (let ((a (aref in 0)) (b (aref in 1)) (mx (aref in 2))"
-        "        (n1 (aref in 3)))"
+        "        (n1 (aref in 3)) (f (aref fin 0)))"
         "    (aset run 0 (* a b))"
         "    (aset run 1 (+ mx 1))"
         "    (aset run 2 (/ (- (- 0 mx) 1) n1))"
         "    (aset run 3 (mod (- (- 0 mx) 1) n1))"
-        "    (aset run 4 (- (- (- 0 mx) 1)))))";
+        "    (aset run 4 (- (- (- 0 mx) 1)))"
+        "    (aset run 5 (int f))))";
     const auto machine = config::baseline();
     const auto compiled =
         sched::compile(src, machine, sched::CompileOptions{});
@@ -238,8 +274,8 @@ TEST(Alu, ConstantFoldingWrapsLikeTheAlu)
     };
 
     const std::int64_t expect[] = {922470640823155120, kMin, kMin, 0,
-                                   kMin};
-    for (std::uint32_t i = 0; i < 5; ++i) {
+                                   kMin, kMin};
+    for (std::uint32_t i = 0; i < 6; ++i) {
         SCOPED_TRACE(i);
         EXPECT_EQ(at("run", i), expect[i]);
         EXPECT_EQ(at("folded", i), expect[i]);
@@ -247,6 +283,7 @@ TEST(Alu, ConstantFoldingWrapsLikeTheAlu)
     }
     EXPECT_EQ(at("optimized", 0), kMin);
     EXPECT_EQ(at("optimized", 1), 0);
+    EXPECT_EQ(at("optimized", 2), kMin);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "procoup/support/error.hh"
 #include "procoup/config/presets.hh"
 #include "procoup/isa/builder.hh"
@@ -21,6 +23,17 @@ using testutil::fuIU;
 using testutil::fuMU;
 using testutil::rr;
 
+// The simulator borrows its machine and program: binding either to a
+// temporary, which would dangle, must not compile.
+static_assert(std::is_constructible_v<Simulator, const config::MachineConfig&,
+                                      const Program&>);
+static_assert(!std::is_constructible_v<Simulator,
+                                       const config::MachineConfig&, Program>);
+static_assert(!std::is_constructible_v<Simulator, config::MachineConfig,
+                                       const Program&>);
+static_assert(!std::is_constructible_v<Simulator, config::MachineConfig,
+                                       Program>);
+
 TEST(SimCore, AluChainComputesAndStores)
 {
     const auto m = config::baseline();
@@ -35,7 +48,8 @@ TEST(SimCore, AluChainComputesAndStores)
     t.rowOp(fuMU(0), op::st(op::imm(a), op::imm(0), op::reg(rr(0, 1))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(a).asInt(), 30);
     EXPECT_EQ(stats.totalOps, 4u);
@@ -59,7 +73,8 @@ TEST(SimCore, DependentChainIssuesOnePerCycle)
                                  op::reg(rr(0, 0)), op::imm(1)));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     // Each dependent op issues the cycle after its producer wrote back.
     EXPECT_GE(stats.cycles, static_cast<std::uint64_t>(n + 1));
@@ -87,7 +102,8 @@ TEST(SimCore, IntraInstructionSlip)
     t.rowOp(fuMU(0), op::st(op::imm(a), op::imm(1), op::reg(rr(0, 2))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     EXPECT_DOUBLE_EQ(sim.memory().peek(a + 1).asFloat(), 3.0);
     // The load takes 4 cycles; the FPU op issues at ~5, the store at
@@ -124,7 +140,8 @@ TEST(SimCore, BranchLoopAccumulates)
                             op::reg(rr(0, 0))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     sim.run();
     EXPECT_EQ(sim.memory().peek(out).asInt(), 45);
 }
@@ -149,7 +166,8 @@ TEST(SimCore, ForkPassesArgumentsAndRunsConcurrently)
     main.rowOp(fuBR0(), op::fork(0, {op::imm(1)}));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const isa::Program prog = pb.finish(1);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(out + 0).asInt(), 0);
     EXPECT_EQ(sim.memory().peek(out + 1).asInt(), 7);
@@ -186,7 +204,8 @@ TEST(SimCore, SyncThroughMemoryPresenceBits)
                                op::reg(rr(0, 1))));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const isa::Program prog = pb.finish(1);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(flag).asInt(), 31);
     EXPECT_GE(stats.memParked, 1u);
@@ -213,7 +232,8 @@ TEST(SimCore, StrictPriorityFavorsEarlierThread)
     main.rowOp(fuBR0(), op::fork(0, {op::imm(2)}));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const isa::Program prog = pb.finish(1);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     // Thread ids: 0 = main, 1 = first child, 2 = second child.
     ASSERT_EQ(stats.threads.size(), 3u);
@@ -250,8 +270,10 @@ TEST(SimCore, TwoClustersRunTrulyConcurrently)
         return pb.finish(2);
     };
 
-    Simulator one(m, make(false));
-    Simulator two(m, make(true));
+    const isa::Program oneProg = make(false);
+    Simulator one(m, oneProg);
+    const isa::Program twoProg = make(true);
+    Simulator two(m, twoProg);
     const auto s1 = one.run();
     const auto s2 = two.run();
     EXPECT_LE(s2.cycles, s1.cycles + 5);
@@ -273,7 +295,8 @@ TEST(SimCore, RemoteWritesCrossClusters)
                             op::reg(rr(1, 1))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(out).asInt(), 44);
     EXPECT_GE(stats.remoteWrites, 1u);
@@ -293,7 +316,8 @@ TEST(SimCore, MultiDestinationBroadcast)
     t.add(fuMU(1), op::st(op::imm(out), op::imm(1), op::reg(rr(1, 0))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     sim.run();
     EXPECT_EQ(sim.memory().peek(out + 0).asInt(), 11);
     EXPECT_EQ(sim.memory().peek(out + 1).asInt(), 11);
@@ -318,7 +342,8 @@ TEST(SimCore, SameRowWarReadsOldValue)
     t.rowOp(fuMU(0), op::st(op::imm(out), op::imm(1), op::reg(rr(0, 0))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     sim.run();
     EXPECT_EQ(sim.memory().peek(out + 0).asInt(), 5);
     EXPECT_DOUBLE_EQ(sim.memory().peek(out + 1).asFloat(), 9.0);
@@ -337,7 +362,8 @@ TEST(SimCore, DeadlockIsDetectedAndReported)
                             MemFlavor::waitLoad()));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     EXPECT_THROW(sim.run(), SimError);
 }
 
@@ -366,8 +392,10 @@ TEST(SimCore, SharedBusSlowerThanFullOnRemoteTraffic)
     const auto bus = config::withInterconnect(
         config::baseline(), config::InterconnectScheme::SharedBus);
 
-    Simulator sf(full, make(full));
-    Simulator sb(bus, make(bus));
+    const isa::Program sfProg = make(full);
+    Simulator sf(full, sfProg);
+    const isa::Program sbProg = make(bus);
+    Simulator sb(bus, sbProg);
     const auto cf = sf.run().cycles;
     const auto cb = sb.run().cycles;
     EXPECT_GT(cb, cf);
@@ -383,7 +411,8 @@ TEST(SimCore, MarksAreRecordedWithCycles)
     t.rowOp(fuIU(0), op::mark(7));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     const auto cycles = stats.markCycles(0, 7);
     ASSERT_EQ(cycles.size(), 2u);
@@ -409,7 +438,8 @@ TEST(SimCore, MaxActiveThreadsQueuesSpawns)
         main.rowOp(fuBR0(), op::fork(0, {op::imm(i)}));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const isa::Program prog = pb.finish(1);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(sim.memory().peek(out + i).asInt(), 1) << i;
@@ -435,8 +465,10 @@ TEST(SimCore, RunsAreDeterministic)
         return pb.finish(0);
     };
 
-    Simulator s1(m, make());
-    Simulator s2(m, make());
+    const isa::Program s1Prog = make();
+    Simulator s1(m, s1Prog);
+    const isa::Program s2Prog = make();
+    Simulator s2(m, s2Prog);
     EXPECT_EQ(s1.run().cycles, s2.run().cycles);
 }
 
@@ -447,7 +479,8 @@ TEST(SimCore, StatsSummaryMentionsKeyFigures)
     auto t = pb.thread("main", {2});
     t.rowOp(fuIU(0), op::mov(rr(0, 0), op::imm(1)));
     t.rowOp(fuBR0(), op::ethr());
-    Simulator sim(m, pb.finish(0));
+    const isa::Program prog = pb.finish(0);
+    Simulator sim(m, prog);
     const auto stats = sim.run();
     const auto s = stats.summary();
     EXPECT_NE(s.find("cycles"), std::string::npos);

@@ -47,7 +47,8 @@ TEST(Arbitration, FixedPriorityStarvesTheLaterThread)
 {
     auto m = config::baseline();
     m.arbitration = config::ArbitrationPolicy::FixedPriority;
-    Simulator s(m, contendingProgram(m.clusters.size(), 40));
+    const isa::Program prog = contendingProgram(m.clusters.size(), 40);
+    Simulator s(m, prog);
     const auto stats = s.run();
     // Thread 1 (higher priority) finishes roughly a full chain before
     // thread 2.
@@ -62,7 +63,8 @@ TEST(Arbitration, RoundRobinInterleavesFairly)
 {
     auto m = config::baseline();
     m.arbitration = config::ArbitrationPolicy::RoundRobin;
-    Simulator s(m, contendingProgram(m.clusters.size(), 40));
+    const isa::Program prog = contendingProgram(m.clusters.size(), 40);
+    Simulator s(m, prog);
     const auto stats = s.run();
     const auto gap = static_cast<std::int64_t>(
                          stats.threads[2].endCycle) -
@@ -120,7 +122,8 @@ TEST(Trace, EmitsAllEventKinds)
                                 op::reg(rr(0, 0)), op::imm(1)));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator s(m, pb.finish(1));
+    const isa::Program prog = pb.finish(1);
+    Simulator s(m, prog);
     std::map<sim::TraceEvent::Kind, int> seen;
     s.setTracer([&](const sim::TraceEvent& e) { ++seen[e.kind]; });
     s.run();
@@ -282,7 +285,8 @@ TEST(ThreadSwap, DisabledActiveSetOfOneDeadlocks)
     m.maxActiveThreads = 1;
     m.swapOutIdleCycles = 0;
     m.deadlockCycleLimit = 500;
-    Simulator s(m, slotDeadlockProgram(m.clusters.size()));
+    const isa::Program prog = slotDeadlockProgram(m.clusters.size());
+    Simulator s(m, prog);
     EXPECT_THROW(s.run(), SimError);
 }
 
@@ -292,7 +296,8 @@ TEST(ThreadSwap, IdleSwapOutBreaksTheDeadlock)
     m.maxActiveThreads = 1;
     m.swapOutIdleCycles = 10;
     m.deadlockCycleLimit = 5000;
-    Simulator s(m, slotDeadlockProgram(m.clusters.size()));
+    const isa::Program prog = slotDeadlockProgram(m.clusters.size());
+    Simulator s(m, prog);
     s.run();
     const auto out = 1u;  // "out" follows "flag" in the data segment
     EXPECT_EQ(s.memory().peek(out).asInt(), 42);

@@ -197,7 +197,8 @@ parseArgs(int argc, char** argv)
         } else if (a == "--trace") {
             o.do_trace = true;
         } else if (a == "--max-trace") {
-            o.max_trace = std::strtol(next().c_str(), nullptr, 10);
+            if (!parseNumber(next(), &o.max_trace))
+                usage(argv[0]);
         } else if (a == "--trace-stalls") {
             o.trace_stalls = true;
         } else if (a == "--trace-out") {
@@ -209,12 +210,11 @@ parseArgs(int argc, char** argv)
         } else if (a == "--sym") {
             o.symbols.push_back(next());
         } else if (a == "--cycle-cap") {
-            o.cycle_cap = std::strtoull(next().c_str(), nullptr, 10);
-            if (o.cycle_cap == 0)
+            if (!parseNumber(next(), &o.cycle_cap) || o.cycle_cap == 0)
                 usage(argv[0]);
         } else if (a == "--deadline-ms") {
-            o.deadline_ms = std::strtod(next().c_str(), nullptr);
-            if (o.deadline_ms <= 0.0)
+            if (!parseNumber(next(), &o.deadline_ms) ||
+                o.deadline_ms <= 0.0)
                 usage(argv[0]);
         } else if (!a.empty() && a[0] == '-') {
             usage(argv[0]);
