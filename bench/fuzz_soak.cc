@@ -15,22 +15,25 @@
  *     timing, never values).
  *
  * Any violation is minimized by the delta-debugging reducer and
- * printed as a ready-to-commit corpus witness. The summary is stable
- * "key: value" lines consumed by scripts/collect_fuzz.py: counts on
- * stdout, which is byte-identical between runs of the same soak, and
- * the host timings wall_ms / programs_per_sec on stderr.
+ * printed as a ready-to-commit corpus witness, and the harness exits
+ * 1. The summary is stable "key: value" lines: counts on stdout,
+ * which is byte-identical between runs of the same soak, and the host
+ * timings wall_ms / programs_per_sec on stderr.
  *
  * Seed range and program count come from the environment (the
  * harness flag set is closed): PROCOUP_FUZZ_FIRST_SEED and
- * PROCOUP_FUZZ_PROGRAMS, defaulting to 1 and 200.
+ * PROCOUP_FUZZ_PROGRAMS, defaulting to 1 and 200. Each must be a
+ * whole decimal number, and the program count must lie in
+ * [1, INT_MAX]; anything else exits 2 before a point runs.
  *
- * PROCOUP_SOAK_JOURNAL=DIR makes the soak durable: it appends
- * "--journal DIR" to the harness flags, so a killed soak resumes from
- * its write-ahead journal instead of starting over, and the summary
- * gains points_replayed / points_executed lines reporting how much of
- * the sweep was restored versus actually run.
+ * The shared --journal DIR flag makes the soak durable: a killed soak
+ * resumes from its write-ahead journal instead of starting over, and
+ * the summary gains points_replayed / points_executed lines reporting
+ * how much of the sweep was restored versus actually run.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -42,13 +45,24 @@ using namespace procoup;
 
 namespace {
 
+/** @p name from the environment as a whole decimal number in
+ *  [lo, hi], @p fallback when unset or empty; exits 2 otherwise. */
 std::uint64_t
-envU64(const char* name, std::uint64_t fallback)
+envNumber(const char* name, std::uint64_t fallback, std::uint64_t lo,
+          std::uint64_t hi)
 {
     const char* v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
-    return std::strtoull(v, nullptr, 10);
+    std::uint64_t n = 0;
+    if (!parseNumber(v, &n) || n < lo || n > hi) {
+        std::fprintf(stderr,
+                     "%s=%s: want a whole number in [%llu, %llu]\n",
+                     name, v, static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
+        std::exit(2);
+    }
+    return n;
 }
 
 } // namespace
@@ -57,26 +71,18 @@ int
 main(int argc, char** argv)
 {
     gen::SoakOptions opts;
-    opts.firstSeed = envU64("PROCOUP_FUZZ_FIRST_SEED", 1);
-    opts.programs =
-        static_cast<int>(envU64("PROCOUP_FUZZ_PROGRAMS", 200));
+    opts.firstSeed =
+        envNumber("PROCOUP_FUZZ_FIRST_SEED", 1, 0, UINT64_MAX);
+    opts.programs = static_cast<int>(
+        envNumber("PROCOUP_FUZZ_PROGRAMS", 200, 1, INT_MAX));
+    const exp::HarnessOptions options =
+        exp::HarnessOptions::parse(argc, argv);
 
     gen::SoakPlan sp = gen::buildSoakPlan(opts);
 
-    // Durable soak: PROCOUP_SOAK_JOURNAL=DIR injects --journal DIR
-    // without widening the closed harness flag set.
-    std::vector<char*> args(argv, argv + argc);
-    std::string jflag;
-    const char* jdir = std::getenv("PROCOUP_SOAK_JOURNAL");
-    if (jdir != nullptr && *jdir != '\0') {
-        jflag = strCat("--journal=", jdir);
-        args.push_back(jflag.data());
-    }
-
     bool bad = false;
-    const int rc = exp::harnessMain(
-        sp.plan, static_cast<int>(args.size()), args.data(),
-        [&](const exp::SweepResult& sweep) {
+    const int rc = exp::runHarness(
+        sp.plan, options, [&](const exp::SweepResult& sweep) {
             std::vector<gen::SoakMismatch> mm =
                 gen::analyzeSoak(sp, sweep);
             int modeBad = 0, faultBad = 0, simBad = 0;
@@ -95,7 +101,7 @@ main(int argc, char** argv)
                             opts.firstSeed + opts.programs - 1));
             std::printf("programs: %d\n", opts.programs);
             std::printf("points: %zu\n", sweep.outcomes.size());
-            if (jdir != nullptr && *jdir != '\0') {
+            if (!options.journalDir.empty()) {
                 std::printf("points_replayed: %zu\n",
                             sweep.replayedPoints);
                 std::printf("points_executed: %zu\n",

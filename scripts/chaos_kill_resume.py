@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kill/resume chaos test for the write-ahead results journal.
 
-Runs a journaled fuzz_soak sweep (PROCOUP_SOAK_JOURNAL), kills the
+Runs a journaled fuzz_soak sweep (--journal DIR), kills the
 process after a seeded-random number of points has been committed to
 the write-ahead file (observed by counting its framed records), then
 resumes — repeatedly, until a run survives to completion — and
@@ -129,23 +129,22 @@ def chaos(args, work):
 
     rng = random.Random(args.seed)
     jdir = os.path.join(work, "journal")
-    base_env = dict(os.environ,
-                    PROCOUP_FUZZ_PROGRAMS=str(args.programs),
-                    PROCOUP_FUZZ_FIRST_SEED="7000")
-    base_env.pop("PROCOUP_SOAK_JOURNAL", None)
+    env = dict(os.environ,
+               PROCOUP_FUZZ_PROGRAMS=str(args.programs),
+               PROCOUP_FUZZ_FIRST_SEED="7000")
 
     # Uninterrupted, never-journaled reference sweep.
     ref_bundle = os.path.join(work, "ref_bundle.json")
     ref_out = os.path.join(work, "ref.out")
     proc = run_soak(args.harness, args.jobs,
-                    ["--stats-json", ref_bundle], base_env, ref_out)
+                    ["--stats-json", ref_bundle], env, ref_out)
     if not check(proc.returncode == 0,
                  f"reference soak failed rc={proc.returncode}"):
         return finish()
 
     # Chaos loop: journaled runs, SIGKILLed after a random number of
     # newly committed points, until one survives to the finish line.
-    env = dict(base_env, PROCOUP_SOAK_JOURNAL=jdir)
+    journal = ["--journal", jdir]
     got_bundle = os.path.join(work, "got_bundle.json")
     got_out = os.path.join(work, "got.out")
     kills = 0
@@ -158,7 +157,7 @@ def chaos(args, work):
         with open(got_out, "w") as out:
             child = subprocess.Popen(
                 [args.harness, "--jobs", str(args.jobs),
-                 "--stats-json", got_bundle],
+                 "--stats-json", got_bundle] + journal,
                 stdout=out, stderr=subprocess.DEVNULL, env=env)
             deadline = time.monotonic() + 300.0
             while child.poll() is None:
@@ -206,7 +205,8 @@ def chaos(args, work):
     if not survived:
         # Kill budget exhausted: one clean run to the finish line.
         proc = run_soak(args.harness, args.jobs,
-                        ["--stats-json", got_bundle], env, got_out)
+                        ["--stats-json", got_bundle] + journal,
+                        env, got_out)
         if not check(proc.returncode == 0,
                      f"final resume failed rc={proc.returncode}"):
             return finish()
@@ -242,7 +242,7 @@ def chaos(args, work):
     # nothing recompiled.
     rep = os.path.join(work, "replay_report.json")
     proc = run_soak(args.harness, args.jobs,
-                    ["--sweep-report", rep], env,
+                    ["--sweep-report", rep] + journal, env,
                     os.path.join(work, "replay.out"))
     check(proc.returncode == 0,
           f"full-replay soak failed rc={proc.returncode}")

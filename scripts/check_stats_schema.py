@@ -32,9 +32,10 @@ meta-header (label, fingerprint, the reserved threw byte, error kind,
 retries) at the head of each record.
 
 With --sweep-report FILE, validates a harness --sweep-report document
-("procoup-sweep/1" or "/2"): required keys, the compile_cache block,
-the optional journal block, no disk_cache block, and the failures
-array (whose kinds must come from the five-kind error taxonomy).
+("procoup-sweep/1" or "/2"): required keys, the compile_cache block
+(its hit_rate must match hits/misses), the optional journal block, no
+disk_cache block, and the failures array (whose kinds must come from
+the five-kind error taxonomy).
 
 Registered as a ctest (stats_schema_check) so `ctest -j` covers it.
 Documented in docs/INTERNALS.md ("Observability").
@@ -331,35 +332,6 @@ def validate_bundle(path):
     return n
 
 
-def validate_fuzz(path):
-    """A collect_fuzz.py "procoup-fuzz/1" document."""
-    try:
-        doc = json.load(open(path))
-    except (OSError, json.JSONDecodeError) as e:
-        check(False, path, f"unreadable fuzz document: {e}")
-        return 0
-    check(doc.get("schema") == "procoup-fuzz/1", path,
-          f"bad fuzz schema '{doc.get('schema')}'")
-    expect_keys(path, doc,
-                {"programs": int, "points": int, "wall_ms": (int, float),
-                 "programs_per_sec": (int, float), "mismatches": dict,
-                 "corpus": dict})
-    mm = doc.get("mismatches", {})
-    expect_keys(path + ".mismatches", mm,
-                {"mode": int, "fault": int, "sim_error": int,
-                 "total": int})
-    if all(isinstance(mm.get(k), int)
-           for k in ("mode", "fault", "sim_error", "total")):
-        check(mm["total"] == mm["mode"] + mm["fault"] + mm["sim_error"],
-              path, f"mismatch counts do not add up: {mm}")
-        check(mm["total"] == 0, path,
-              f"fuzz soak reported {mm['total']} mismatch(es)")
-    corpus = doc.get("corpus", {})
-    expect_keys(path + ".corpus", corpus,
-                {"pass": int, "xfail": int, "total": int})
-    return 1
-
-
 def validate_sweep_report(path):
     """A harness --sweep-report document."""
     try:
@@ -374,9 +346,21 @@ def validate_sweep_report(path):
                  "wall_ms": (int, float),
                  "point_wall_ms_total": (int, float),
                  "compile_cache": dict})
-    expect_keys(path + ".compile_cache", doc.get("compile_cache", {}),
-                {"enabled": bool, "hits": int, "misses": int,
-                 "hit_rate": (int, float)})
+    cc = doc.get("compile_cache", {})
+    expect_keys(path + ".compile_cache", cc,
+                {"hits": int, "misses": int, "hit_rate": (int, float)})
+    if isinstance(doc.get("jobs"), int) and isinstance(doc.get("points"),
+                                                       int):
+        check(doc["jobs"] >= 1 and doc["points"] >= 0, path,
+              "jobs/points out of range")
+    if all(isinstance(cc.get(k), (int, float))
+           for k in ("hits", "misses", "hit_rate")) and \
+            cc["hits"] + cc["misses"] > 0:
+        rate = cc["hits"] / (cc["hits"] + cc["misses"])
+        # The report rounds the rate to four decimal places.
+        check(abs(rate - cc["hit_rate"]) <= 5e-5, path,
+              f"hit_rate {cc['hit_rate']} inconsistent with "
+              "hits/misses")
 
     if "journal" in doc:
         expect_keys(path + ".journal", doc["journal"],
@@ -515,13 +499,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--pcsim",
                     help="path to the pcsim binary (required unless "
-                         "only --fuzz documents are validated)")
+                         "only --journal-dir / --sweep-report "
+                         "documents are validated)")
     ap.add_argument("--bundle", action="append", default=[],
                     help="also validate this harness --stats-json "
                          "bundle (repeatable)")
-    ap.add_argument("--fuzz", action="append", default=[],
-                    help="also validate this collect_fuzz.py "
-                         "BENCH_fuzz.json (repeatable)")
     ap.add_argument("--journal-dir", action="append", default=[],
                     help="also validate this --journal results "
                          "directory (repeatable)")
@@ -529,10 +511,9 @@ def main():
                     help="also validate this harness --sweep-report "
                          "document (repeatable)")
     args = ap.parse_args()
-    if not (args.pcsim or args.fuzz or args.journal_dir or
-            args.sweep_report):
-        ap.error("--pcsim required (or at least one --fuzz FILE / "
-                 "--journal-dir DIR / --sweep-report FILE)")
+    if not (args.pcsim or args.journal_dir or args.sweep_report):
+        ap.error("--pcsim required (or at least one --journal-dir DIR "
+                 "/ --sweep-report FILE)")
 
     n = 0
     for mname, mflags in (MACHINES.items() if args.pcsim else []):
@@ -579,8 +560,6 @@ def main():
 
     for path in args.bundle:
         n += validate_bundle(path)
-    for path in args.fuzz:
-        n += validate_fuzz(path)
     for path in args.journal_dir:
         n += validate_journal_dir(path)
     for path in args.sweep_report:

@@ -21,21 +21,8 @@ CompileCache::compile(const std::string& source,
                       const config::MachineConfig& machine,
                       const sched::CompileOptions& opts, bool* was_hit)
 {
-    auto fresh = [&] {
-        return std::make_shared<const sched::CompileResult>(
-            sched::compile(source, machine, opts));
-    };
-
     if (was_hit)
         *was_hit = false;
-    if (!_enabled) {
-        {
-            std::lock_guard<std::mutex> lock(_mu);
-            ++_stats.misses;
-        }
-        return fresh();
-    }
-
     const std::string k = key(source, machine, opts);
     std::promise<std::shared_ptr<const sched::CompileResult>> promise;
     Entry entry;
@@ -57,7 +44,8 @@ CompileCache::compile(const std::string& source,
     }
     if (owner) {
         try {
-            promise.set_value(fresh());
+            promise.set_value(std::make_shared<const sched::CompileResult>(
+                sched::compile(source, machine, opts)));
         } catch (...) {
             promise.set_exception(std::current_exception());
         }

@@ -10,7 +10,9 @@
  * sched::compile() never reads. The cache keys on (source text,
  * compile options, config::MachineConfig::compileFingerprint()) so
  * every identical compilation happens exactly once per sweep, no
- * matter how many points or worker threads share it.
+ * matter how many points or worker threads share it. Every sweep
+ * compiles through the cache; perfbench measures what a cold compile
+ * costs (exp.compiles, opt.ms, sched.ms).
  *
  * Concurrency: the first caller of a key compiles; concurrent callers
  * of the same key block on a shared_future until the result (or the
@@ -66,11 +68,6 @@ class CompileCache
             const config::MachineConfig& machine,
             const sched::CompileOptions& opts, bool* was_hit = nullptr);
 
-    /** Disabled: every compile() call compiles afresh (for measuring
-     *  the legacy, cacheless behavior). Counts everything as a miss. */
-    void setEnabled(bool enabled) { _enabled = enabled; }
-    bool enabled() const { return _enabled; }
-
     Stats stats() const;
 
     /** The cache key; exposed for tests. */
@@ -82,7 +79,6 @@ class CompileCache
     using Entry =
         std::shared_future<std::shared_ptr<const sched::CompileResult>>;
 
-    bool _enabled = true;
     mutable std::mutex _mu;
     std::map<std::string, Entry> _entries;
     Stats _stats;

@@ -23,8 +23,7 @@ usage(const char* argv0)
         "usage: %s [--jobs N] [--sanitize[=N]] [--faults X]\n"
         "       [--fault-seed S] [--fail-safe] [--journal DIR]\n"
         "       [--list] [--filter SUBSTRING] [--stats-json FILE]\n"
-        "       [--sweep-report FILE] [--no-compile-cache]\n"
-        "       [--retry-faulted] [--retries N]\n"
+        "       [--sweep-report FILE] [--retry-faulted] [--retries N]\n"
         "see src/procoup/exp/harness.hh for flag semantics\n",
         argv0);
     std::exit(1);
@@ -114,8 +113,6 @@ HarnessOptions::parse(int argc, char** argv)
         } else if (flagValue("--sweep-report", argc, argv, i, &v,
                              usage)) {
             o.sweepReportPath = v;
-        } else if (a == "--no-compile-cache") {
-            o.compileCache = false;
         } else if (a == "--retry-faulted") {
             o.retryFaulted = true;
         } else if (flagValue("--retries", argc, argv, i, &v, usage)) {
@@ -145,7 +142,6 @@ HarnessOptions::runnerOptions() const
 {
     RunnerOptions r;
     r.jobs = jobs;
-    r.cacheEnabled = compileCache;
     r.failSafe = failSafe;
     r.retryFaulted = retryFaulted;
     r.retries = retries;
@@ -200,9 +196,7 @@ formatSweepReport(const ExperimentPlan& plan, const SweepResult& result,
         ",\n\"points\": ", result.outcomes.size(),
         ",\n\"wall_ms\": ", fixed(result.wallMs, 3),
         ",\n\"point_wall_ms_total\": ", fixed(point_ms, 3),
-        ",\n\"compile_cache\": {\"enabled\": ",
-        options.compileCache ? "true" : "false",
-        ", \"hits\": ", result.cacheStats.hits,
+        ",\n\"compile_cache\": {\"hits\": ", result.cacheStats.hits,
         ", \"misses\": ", result.cacheStats.misses,
         ", \"hit_rate\": ", fixed(result.cacheStats.hitRate(), 4),
         "}");

@@ -39,10 +39,7 @@
  *                       attribution
  *   --sweep-report FILE write a "procoup-sweep/1" JSON record of the
  *                       sweep's wall-clock, job count, and compile-
- *                       cache hit rate (scripts/run_all.sh collects
- *                       these into BENCH_sweep.json)
- *   --no-compile-cache  compile every point afresh (the legacy
- *                       behavior, for baseline measurements)
+ *                       cache hit rate
  *   --retry-faulted     with --fail-safe: retry a failed faulted
  *                       point at once under reseeded fault plans,
  *                       at most --retries times
@@ -72,7 +69,6 @@ struct HarnessOptions
     std::string filter;
     std::string statsJsonPath;
     std::string sweepReportPath;
-    bool compileCache = true;
 
     /** Sanitizer cadence applied to every point (0 = off). */
     std::uint64_t sanitizeEveryCycles = 0;

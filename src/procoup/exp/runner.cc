@@ -121,7 +121,6 @@ SweepRunner::SweepRunner(RunnerOptions options)
         _ownedCache = std::make_unique<CompileCache>();
         _cache = _ownedCache.get();
     }
-    _cache->setEnabled(_options.cacheEnabled);
 }
 
 int

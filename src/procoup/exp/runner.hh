@@ -63,9 +63,6 @@ struct RunnerOptions
      *  plans, or pcsim's dump path); nullptr = runner-owned cache. */
     CompileCache* cache = nullptr;
 
-    /** Turn compile caching off (legacy-equivalent measurement). */
-    bool cacheEnabled = true;
-
     /** Abort the process on a verification failure (default), or
      *  leave the failure in RunOutcome::error for the caller. */
     bool exitOnVerifyFailure = true;

@@ -6,8 +6,8 @@
  * Canonical experiment plans for the paper's evaluation grids that
  * more than one binary needs: the bench harnesses build them for
  * table rendering, tests/sweep_determinism_test.cc replays them at
- * different --jobs counts, and bench/micro_speed times the engine on
- * them.
+ * different --jobs counts, and perfbench's table2-grid workload times
+ * the engine on them.
  */
 
 #include "procoup/exp/plan.hh"

@@ -83,6 +83,27 @@ fail(int line, const std::string& what)
     throw CompileError(strCat("assembly line ", line, ": ", what));
 }
 
+/** @p text as a whole decimal number of type T: no sign on an
+ *  unsigned T, no trailing characters, in T's range. */
+template <typename T>
+T
+parseField(int line, std::string_view text, const char* what)
+{
+    T v{};
+    if (!parseNumber(text, &v))
+        fail(line, strCat("bad ", what, " '", text, "'"));
+    return v;
+}
+
+/** The one operand of directive @p toks, as a number. */
+std::uint32_t
+directiveArg(int line, const std::vector<std::string>& toks)
+{
+    if (toks.size() != 2)
+        fail(line, strCat(toks[0], " takes one number"));
+    return parseField<std::uint32_t>(line, toks[1], toks[0].c_str());
+}
+
 bool
 looksFloat(const std::string& s)
 {
@@ -113,12 +134,14 @@ RegRef
 parseReg(int line, const std::string& text)
 {
     // cX.rY
-    unsigned cluster = 0;
-    unsigned index = 0;
-    if (std::sscanf(text.c_str(), "c%u.r%u", &cluster, &index) != 2)
+    const std::string_view t = text;
+    const auto dot = t.find(".r");
+    RegRef r;
+    if (t.empty() || t[0] != 'c' || dot == std::string_view::npos ||
+        !parseNumber(t.substr(1, dot - 1), &r.cluster) ||
+        !parseNumber(t.substr(dot + 2), &r.index))
         fail(line, strCat("bad register '", text, "'"));
-    return RegRef{static_cast<std::uint16_t>(cluster),
-                  static_cast<std::uint16_t>(index)};
+    return r;
 }
 
 MemFlavor
@@ -175,8 +198,8 @@ parseSlot(int line, const std::string& chunk)
         fail(line, strCat("expected 'fuN op ...' in '", chunk, "'"));
 
     OpSlot slot;
-    slot.fu = static_cast<std::uint16_t>(
-        std::strtoul(toks[0].c_str() + 2, nullptr, 10));
+    slot.fu = parseField<std::uint16_t>(
+        line, std::string_view(toks[0]).substr(2), "unit");
 
     std::string name = toks[1];
     Operation& op = slot.op;
@@ -194,14 +217,15 @@ parseSlot(int line, const std::string& chunk)
     for (std::size_t i = 2; i < toks.size(); ++i) {
         const std::string& t = toks[i];
         if (t[0] == '@') {
-            op.branchTarget = static_cast<std::uint32_t>(
-                std::strtoul(t.c_str() + 1, nullptr, 10));
+            op.branchTarget = parseField<std::uint32_t>(
+                line, std::string_view(t).substr(1), "branch target");
         } else if (t.rfind("fn", 0) == 0 &&
                    op.opcode == Opcode::FORK) {
-            op.forkTarget = static_cast<std::uint32_t>(
-                std::strtoul(t.c_str() + 2, nullptr, 10));
+            op.forkTarget = parseField<std::uint32_t>(
+                line, std::string_view(t).substr(2), "fork target");
         } else if (t[0] == 'm' && op.opcode == Opcode::MARK) {
-            op.markId = std::strtoll(t.c_str() + 1, nullptr, 10);
+            op.markId = parseField<std::int64_t>(
+                line, std::string_view(t).substr(1), "mark id");
         } else if (t[0] == '#') {
             operands.push_back(
                 Operand::makeImm(parseValue(line, t.substr(1))));
@@ -298,25 +322,21 @@ parseAssembly(const std::string& text)
             const auto toks = tokens(line);
             const std::string& d = toks[0];
             if (d == ".entry") {
-                prog.entry = static_cast<std::uint32_t>(
-                    std::strtoul(toks.at(1).c_str(), nullptr, 10));
+                prog.entry = directiveArg(lineno, toks);
             } else if (d == ".data") {
-                prog.memorySize = static_cast<std::uint32_t>(
-                    std::strtoul(toks.at(1).c_str(), nullptr, 10));
+                prog.memorySize = directiveArg(lineno, toks);
             } else if (d == ".sym") {
                 if (toks.size() != 4)
                     fail(lineno, ".sym takes name base size");
                 prog.symbols[toks[1]] = Symbol{
-                    static_cast<std::uint32_t>(
-                        std::strtoul(toks[2].c_str(), nullptr, 10)),
-                    static_cast<std::uint32_t>(
-                        std::strtoul(toks[3].c_str(), nullptr, 10))};
+                    parseField<std::uint32_t>(lineno, toks[2], "base"),
+                    parseField<std::uint32_t>(lineno, toks[3], "size")};
             } else if (d == ".init") {
                 if (toks.size() < 3)
                     fail(lineno, ".init takes addr value [empty]");
                 MemInit mi;
-                mi.addr = static_cast<std::uint32_t>(
-                    std::strtoul(toks[1].c_str(), nullptr, 10));
+                mi.addr = parseField<std::uint32_t>(lineno, toks[1],
+                                                    "address");
                 mi.value = parseValue(lineno, toks[2]);
                 mi.full = !(toks.size() > 3 && toks[3] == "empty");
                 prog.memInits.push_back(mi);
@@ -328,9 +348,8 @@ parseAssembly(const std::string& text)
                 if (thread == nullptr)
                     fail(lineno, ".regs outside a thread");
                 for (std::size_t i = 1; i < toks.size(); ++i)
-                    thread->regCount.push_back(
-                        static_cast<std::uint32_t>(std::strtoul(
-                            toks[i].c_str(), nullptr, 10)));
+                    thread->regCount.push_back(parseField<std::uint32_t>(
+                        lineno, toks[i], "register count"));
             } else if (d == ".params") {
                 if (thread == nullptr)
                     fail(lineno, ".params outside a thread");
@@ -349,8 +368,8 @@ parseAssembly(const std::string& text)
         const auto colon = line.find(':');
         if (colon == std::string::npos)
             fail(lineno, "expected 'row: operations'");
-        const std::uint32_t row = static_cast<std::uint32_t>(
-            std::strtoul(line.substr(0, colon).c_str(), nullptr, 10));
+        const auto row = parseField<std::uint32_t>(
+            lineno, trim(line.substr(0, colon)), "row number");
         if (row != thread->instructions.size())
             fail(lineno, strCat("row ", row, " out of order (expected ",
                                 thread->instructions.size(), ")"));

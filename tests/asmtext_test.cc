@@ -117,6 +117,20 @@ TEST(AsmText, RejectsMalformedInput)
     EXPECT_THROW(parseAssembly(".thread t\n  0: fu0 iadd #1, #2\n"),
                  CompileError);  // destination is not a register
     EXPECT_THROW(parseAssembly(".unknown 1\n"), CompileError);
+    // Numbers are whole and in range, never truncated or narrowed.
+    EXPECT_THROW(parseAssembly(".thread t\n  0: fu65538 mark m1\n"),
+                 CompileError);  // unit past uint16
+    EXPECT_THROW(
+        parseAssembly(".thread t\n  0: fu0 iadd c0.r70000, #1, #2\n"),
+        CompileError);  // register index past uint16
+    EXPECT_THROW(parseAssembly(".thread t\n  0: fu12 br @4294967297\n"),
+                 CompileError);  // branch target past uint32
+    EXPECT_THROW(parseAssembly(".thread t\n  0x: fu0 mark m1\n"),
+                 CompileError);  // trailing garbage in the row number
+    EXPECT_THROW(parseAssembly(".thread t\n  0: fu2x mark m1\n"),
+                 CompileError);  // trailing garbage in the unit
+    EXPECT_THROW(parseAssembly(".entry -1\n"), CompileError);
+    EXPECT_THROW(parseAssembly(".entry\n"), CompileError);
 }
 
 TEST(AsmText, RoundTripsEveryCompiledBenchmark)

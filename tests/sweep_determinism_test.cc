@@ -129,26 +129,6 @@ TEST(SweepDeterminism, RuntimeKnobSweepsShareCompiles)
     EXPECT_EQ(res.cacheStats.hits, plan.size() - 1);
 }
 
-TEST(SweepDeterminism, DisabledCacheCompilesEveryPoint)
-{
-    exp::ExperimentPlan plan("nocache");
-    const auto& bm = benchmarks::matrix();
-    plan.addBenchmark(config::baseline(), bm, core::SimMode::Coupled,
-                      "a");
-    plan.addBenchmark(config::baseline(), bm, core::SimMode::Coupled,
-                      "b");
-
-    exp::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.cacheEnabled = false;
-    opts.exitOnVerifyFailure = false;
-    exp::SweepRunner runner(opts);
-    const exp::SweepResult res = runner.run(plan);
-    EXPECT_EQ(res.cacheStats.hits, 0u);
-    EXPECT_EQ(res.cacheStats.misses, 2u);
-    EXPECT_EQ(res.outcomes[0].result.stats, res.outcomes[1].result.stats);
-}
-
 TEST(SweepDeterminism, FilterSubsetsByLabelSubstring)
 {
     const exp::ExperimentPlan plan = exp::table2BaselinePlan();
