@@ -499,8 +499,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--pcsim",
                     help="path to the pcsim binary (required unless "
-                         "only --journal-dir / --sweep-report "
-                         "documents are validated)")
+                         "only --bundle / --journal-dir / "
+                         "--sweep-report documents are validated)")
     ap.add_argument("--bundle", action="append", default=[],
                     help="also validate this harness --stats-json "
                          "bundle (repeatable)")
@@ -511,9 +511,10 @@ def main():
                     help="also validate this harness --sweep-report "
                          "document (repeatable)")
     args = ap.parse_args()
-    if not (args.pcsim or args.journal_dir or args.sweep_report):
-        ap.error("--pcsim required (or at least one --journal-dir DIR "
-                 "/ --sweep-report FILE)")
+    if not (args.pcsim or args.bundle or args.journal_dir or
+            args.sweep_report):
+        ap.error("--pcsim required (or at least one --bundle FILE / "
+                 "--journal-dir DIR / --sweep-report FILE)")
 
     n = 0
     for mname, mflags in (MACHINES.items() if args.pcsim else []):

@@ -21,15 +21,16 @@ rm -f "$STATUS"
 } 2>&1 | tee test_output.txt
 tests_rc=$(cat "$STATUS")
 
-# Every harness, including fault_degradation (exits 1 if the coupled
-# machine amplifies injected memory latency worse than STS) and
-# fuzz_soak (exits 1 on any differential mismatch). A failing harness
-# does not stop the loop, so bench_output.txt stays complete.
+# Every harness but fuzz_soak, which runs once, below, as the durable
+# soak. fault_degradation exits 1 if the coupled machine amplifies
+# injected memory latency worse than STS. A failing harness does not
+# stop the loop, so bench_output.txt stays complete.
 rm -f "$STATUS"
 {
     failed=""
     for b in build/bench/*; do
         [ -f "$b" ] && [ -x "$b" ] || continue
+        [ "$(basename "$b")" = fuzz_soak ] && continue
         echo "==================================================="
         echo "== $(basename "$b")"
         echo "==================================================="
@@ -53,9 +54,12 @@ fi
 # fault-injected) under a write-ahead results journal. A killed run
 # of this step resumes from build/soak_journal on the next invocation
 # instead of starting over; the journal directory is then validated
-# record by record.
+# record by record. fuzz_soak exits 1 on any differential mismatch.
 JOBS=$(nproc 2>/dev/null || echo 4)
 [ "$JOBS" -lt 4 ] && JOBS=4
-PROCOUP_FUZZ_PROGRAMS=500 build/bench/fuzz_soak --jobs "$JOBS" \
-    --journal build/soak_journal > build/soak_journal.out
+if ! PROCOUP_FUZZ_PROGRAMS=500 build/bench/fuzz_soak --jobs "$JOBS" \
+        --journal build/soak_journal > build/soak_journal.out; then
+    echo "run_all.sh: fuzz_soak failed (build/soak_journal.out)" >&2
+    exit 1
+fi
 python3 scripts/check_stats_schema.py --journal-dir build/soak_journal

@@ -1,9 +1,11 @@
 #include "procoup/ir/frontend.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
 
+#include "procoup/isa/alu.hh"
 #include "procoup/lang/parser.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -59,17 +61,87 @@ struct Binding
     isa::Value constVal;
 };
 
-bool
-isComparison(const std::string& s)
+/**
+ * A PCL operator that is one machine operation: the opcode it runs as
+ * over integer and over float operands. Code generation and the
+ * constant evaluator both read this table and both fold through
+ * isa::foldAlu, so a constant expression evaluates exactly as the
+ * same expression would at run time.
+ */
+struct Operator
 {
-    return s == "<" || s == "<=" || s == "=" || s == "!=" || s == ">" ||
-           s == ">=";
+    std::string_view name;
+    Opcode intOp;
+    Opcode floatOp;  ///< NOP: integer operands only
+    std::size_t minArgs;
+    std::size_t maxArgs;  ///< kVariadic: a left fold over 2+ operands
+};
+
+constexpr std::size_t kVariadic = SIZE_MAX;
+
+constexpr Operator kOperators[] = {
+    {"-",   Opcode::INEG, Opcode::FNEG, 1, 1},
+    {"+",   Opcode::IADD, Opcode::FADD, 2, kVariadic},
+    {"-",   Opcode::ISUB, Opcode::FSUB, 2, kVariadic},
+    {"*",   Opcode::IMUL, Opcode::FMUL, 2, kVariadic},
+    {"/",   Opcode::IDIV, Opcode::FDIV, 2, kVariadic},
+    {"mod", Opcode::IMOD, Opcode::NOP,  2, kVariadic},
+    {"<",   Opcode::ILT,  Opcode::FLT,  2, 2},
+    {"<=",  Opcode::ILE,  Opcode::FLE,  2, 2},
+    {"=",   Opcode::IEQ,  Opcode::FEQ,  2, 2},
+    {"!=",  Opcode::INE,  Opcode::FNE,  2, 2},
+    {">",   Opcode::IGT,  Opcode::FGT,  2, 2},
+    {">=",  Opcode::IGE,  Opcode::FGE,  2, 2},
+    {"and", Opcode::IAND, Opcode::NOP,  2, kVariadic},
+    {"or",  Opcode::IOR,  Opcode::NOP,  2, kVariadic},
+    {"not", Opcode::INOT, Opcode::NOP,  1, 1},
+};
+
+/** The operator form @p e (a list headed by a symbol) applies, or
+ *  nullptr if its head names no operator.
+ *  @throws CompileError on a wrong operand count */
+const Operator*
+findOperator(const Sexpr& e)
+{
+    const std::string& name = e.at(0).symbol();
+    const std::size_t n = e.size() - 1;
+    const Operator* named = nullptr;
+    for (const auto& op : kOperators) {
+        if (op.name != name)
+            continue;
+        if (n >= op.minArgs && n <= op.maxArgs)
+            return &op;
+        named = &op;
+    }
+    if (named == nullptr)
+        return nullptr;
+    if (named->maxArgs == kVariadic)
+        err(e, strCat("operator ", name, " needs 2+ operands"));
+    err(e, strCat("operator ", name, " takes ", named->minArgs,
+                  named->minArgs == 1 ? " operand" : " operands"));
 }
 
-bool
-isArith(const std::string& s)
+/** The opcode @p op runs as; any float operand makes it the float
+ *  form. @throws CompileError for an integer-only operator. */
+Opcode
+resolveOpcode(const Operator& op, bool any_float, const Sexpr& e)
 {
-    return s == "+" || s == "-" || s == "*" || s == "/" || s == "mod";
+    if (!any_float)
+        return op.intOp;
+    if (op.floatOp == Opcode::NOP)
+        err(e, strCat("operator ", op.name,
+                      " takes integer operands; use (int ...)"));
+    return op.floatOp;
+}
+
+/** Result type of an operator's opcode (comparisons yield ints). */
+Type
+resultType(Opcode op)
+{
+    return isa::unitTypeOf(op) == isa::UnitType::Float &&
+                   !isa::opcodeIsCompare(op)
+        ? Type::Float
+        : Type::Int;
 }
 
 class Frontend;
@@ -121,9 +193,7 @@ class FuncBuilder
     // --- expression lowering ----------------------------------------
     TV genExpr(const Sexpr& e);
     TV genBody(const std::vector<Sexpr>& forms, std::size_t from);
-    TV genArith(const Sexpr& e);
-    TV genCompare(const Sexpr& e);
-    TV genLogic(const Sexpr& e);
+    TV genOperator(const Sexpr& e, const Operator& op);
     TV genLet(const Sexpr& e);
     TV genSet(const Sexpr& e);
     TV genIf(const Sexpr& e);
@@ -139,6 +209,7 @@ class FuncBuilder
     IrValue requireValue(const TV& tv, const Sexpr& at) const;
     IrValue coerce(const TV& tv, Type want, const Sexpr& at);
     std::uint32_t materialize(const TV& tv);
+    IrValue emitOp(Opcode op, std::vector<IrValue> srcs, Type result);
     IrValue emitBin(Opcode op, IrValue a, IrValue b, Type result);
 
     struct MemRef
@@ -523,18 +594,8 @@ FuncBuilder::coerce(const TV& tv, Type want, const Sexpr& at)
         err(at, "expression has no value");
     if (tv.type == want)
         return tv.val;
-    if (want == Type::Float) {
-        // int -> float: fold constants, else ITOF on an FPU.
-        if (tv.val.isConst())
-            return IrValue::makeFloat(tv.val.constant().asFloat());
-        IrInstr i;
-        i.op = Opcode::ITOF;
-        i.dst = fn().newReg(Type::Float);
-        i.srcs = {tv.val};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return IrValue::makeReg(d);
-    }
+    if (want == Type::Float)
+        return emitOp(Opcode::ITOF, {tv.val}, Type::Float);
     err(at, "implicit float->int conversion; use (int ...)");
 }
 
@@ -550,47 +611,42 @@ FuncBuilder::materialize(const TV& tv)
     return d;
 }
 
-/** Emit a binary op with local constant folding. */
+/** Emit @p op over @p srcs, or fold it when every source is a
+ *  constant. */
 IrValue
-FuncBuilder::emitBin(Opcode op, IrValue a, IrValue b, Type result)
+FuncBuilder::emitOp(Opcode op, std::vector<IrValue> srcs, Type result)
 {
-    if (a.isConst() && b.isConst()) {
-        const auto& ca = a.constant();
-        const auto& cb = b.constant();
-        switch (op) {
-          case Opcode::IADD:
-            return IrValue::makeInt(isa::wrapAdd(ca.asInt(), cb.asInt()));
-          case Opcode::ISUB:
-            return IrValue::makeInt(isa::wrapSub(ca.asInt(), cb.asInt()));
-          case Opcode::IMUL:
-            return IrValue::makeInt(isa::wrapMul(ca.asInt(), cb.asInt()));
-          case Opcode::FADD:
-            return IrValue::makeFloat(ca.asFloat() + cb.asFloat());
-          case Opcode::FSUB:
-            return IrValue::makeFloat(ca.asFloat() - cb.asFloat());
-          case Opcode::FMUL:
-            return IrValue::makeFloat(ca.asFloat() * cb.asFloat());
-          default:
-            break;  // fall through to emission
-        }
+    if (std::all_of(srcs.begin(), srcs.end(),
+                    [](const IrValue& s) { return s.isConst(); })) {
+        std::vector<isa::Value> consts;
+        for (const auto& s : srcs)
+            consts.push_back(s.constant());
+        if (auto v = isa::foldAlu(op, consts))
+            return IrValue::makeConst(*v);
     }
-    // Cheap identities that keep unrolled index code clean.
-    if (op == Opcode::IADD && a.isConst() && a.constant().asInt() == 0)
-        return b;
-    if (op == Opcode::IADD && b.isConst() && b.constant().asInt() == 0)
-        return a;
-    if (op == Opcode::IMUL && b.isConst() && b.constant().asInt() == 1)
-        return a;
-    if (op == Opcode::IMUL && a.isConst() && a.constant().asInt() == 1)
-        return b;
-
     IrInstr i;
     i.op = op;
     i.dst = fn().newReg(result);
-    i.srcs = {a, b};
+    i.srcs = std::move(srcs);
     const std::uint32_t d = i.dst;
     emit(std::move(i));
     return IrValue::makeReg(d);
+}
+
+/** emitOp for a binary op, plus the cheap identities x+0 and x*1 that
+ *  keep unrolled index code clean. */
+IrValue
+FuncBuilder::emitBin(Opcode op, IrValue a, IrValue b, Type result)
+{
+    if ((op == Opcode::IADD || op == Opcode::IMUL) &&
+            !(a.isConst() && b.isConst())) {
+        const std::int64_t unit = op == Opcode::IADD ? 0 : 1;
+        if (a.isConst() && a.constant().asInt() == unit)
+            return b;
+        if (b.isConst() && b.constant().asInt() == unit)
+            return a;
+    }
+    return emitOp(op, {a, b}, result);
 }
 
 TV
@@ -603,170 +659,24 @@ FuncBuilder::genBody(const std::vector<Sexpr>& forms, std::size_t from)
 }
 
 TV
-FuncBuilder::genArith(const Sexpr& e)
+FuncBuilder::genOperator(const Sexpr& e, const Operator& op)
 {
-    const std::string& opname = e.at(0).symbol();
-
-    // Unary minus.
-    if (opname == "-" && e.size() == 2) {
-        TV a = genExpr(e.at(1));
-        if (a.val.isConst()) {
-            const auto& c = a.val.constant();
-            return c.isFloat()
-                ? TV::make(IrValue::makeFloat(-c.asFloat()), Type::Float)
-                : TV::make(IrValue::makeInt(isa::wrapNeg(c.asInt())),
-                          Type::Int);
-        }
-        IrInstr i;
-        i.op = a.type == Type::Float ? Opcode::FNEG : Opcode::INEG;
-        i.dst = fn().newReg(a.type);
-        i.srcs = {a.val};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return TV::make(IrValue::makeReg(d), a.type);
-    }
-
-    if (e.size() < 3)
-        err(e, strCat("operator ", opname, " needs 2+ operands"));
-
     std::vector<TV> args;
-    for (std::size_t i = 1; i < e.size(); ++i)
+    bool any_float = false;
+    for (std::size_t i = 1; i < e.size(); ++i) {
         args.push_back(genExpr(e.at(i)));
-
-    Type t = Type::Int;
-    for (const auto& a : args)
-        if (!a.isVoid && a.type == Type::Float)
-            t = Type::Float;
-
-    Opcode opc;
-    if (opname == "+")
-        opc = t == Type::Float ? Opcode::FADD : Opcode::IADD;
-    else if (opname == "-")
-        opc = t == Type::Float ? Opcode::FSUB : Opcode::ISUB;
-    else if (opname == "*")
-        opc = t == Type::Float ? Opcode::FMUL : Opcode::IMUL;
-    else if (opname == "/")
-        opc = t == Type::Float ? Opcode::FDIV : Opcode::IDIV;
-    else if (opname == "mod") {
-        if (t == Type::Float)
-            err(e, "mod requires integer operands");
-        opc = Opcode::IMOD;
-    } else {
-        err(e, strCat("unknown operator ", opname));
+        any_float |= !args.back().isVoid && args.back().type == Type::Float;
     }
+    const Opcode opc = resolveOpcode(op, any_float, e);
+    const Type t = any_float ? Type::Float : Type::Int;
+    const Type result = resultType(opc);
 
-    // Constant fold division/modulo up front (emitBin folds the rest).
     IrValue acc = coerce(args[0], t, e);
-    for (std::size_t i = 1; i < args.size(); ++i) {
-        IrValue rhs = coerce(args[i], t, e);
-        if (acc.isConst() && rhs.isConst()) {
-            const auto& ca = acc.constant();
-            const auto& cb = rhs.constant();
-            if (opc == Opcode::IDIV && cb.asInt() != 0) {
-                acc = IrValue::makeInt(isa::wrapDiv(ca.asInt(), cb.asInt()));
-                continue;
-            }
-            if (opc == Opcode::IMOD && cb.asInt() != 0) {
-                acc = IrValue::makeInt(isa::wrapMod(ca.asInt(), cb.asInt()));
-                continue;
-            }
-            if (opc == Opcode::FDIV) {
-                acc = IrValue::makeFloat(ca.asFloat() / cb.asFloat());
-                continue;
-            }
-        }
-        acc = emitBin(opc, acc, rhs, t);
-    }
-    return TV::make(acc, t);
-}
-
-TV
-FuncBuilder::genCompare(const Sexpr& e)
-{
-    if (e.size() != 3)
-        err(e, "comparisons take exactly 2 operands");
-    TV a = genExpr(e.at(1));
-    TV b = genExpr(e.at(2));
-    const Type t =
-        (a.type == Type::Float || b.type == Type::Float) ? Type::Float
-                                                         : Type::Int;
-    const std::string& s = e.at(0).symbol();
-    Opcode opc;
-    if (s == "<")
-        opc = t == Type::Float ? Opcode::FLT : Opcode::ILT;
-    else if (s == "<=")
-        opc = t == Type::Float ? Opcode::FLE : Opcode::ILE;
-    else if (s == "=")
-        opc = t == Type::Float ? Opcode::FEQ : Opcode::IEQ;
-    else if (s == "!=")
-        opc = t == Type::Float ? Opcode::FNE : Opcode::INE;
-    else if (s == ">")
-        opc = t == Type::Float ? Opcode::FGT : Opcode::IGT;
-    else
-        opc = t == Type::Float ? Opcode::FGE : Opcode::IGE;
-
-    IrValue va = coerce(a, t, e);
-    IrValue vb = coerce(b, t, e);
-    if (va.isConst() && vb.isConst()) {
-        const double x = va.constant().asFloat();
-        const double y = vb.constant().asFloat();
-        bool r = false;
-        if (s == "<") r = x < y;
-        else if (s == "<=") r = x <= y;
-        else if (s == "=") r = x == y;
-        else if (s == "!=") r = x != y;
-        else if (s == ">") r = x > y;
-        else r = x >= y;
-        return TV::make(IrValue::makeInt(r), Type::Int);
-    }
-
-    IrInstr i;
-    i.op = opc;
-    i.dst = fn().newReg(Type::Int);
-    i.srcs = {va, vb};
-    const std::uint32_t d = i.dst;
-    emit(std::move(i));
-    return TV::make(IrValue::makeReg(d), Type::Int);
-}
-
-TV
-FuncBuilder::genLogic(const Sexpr& e)
-{
-    const std::string& s = e.at(0).symbol();
-    if (s == "not") {
-        if (e.size() != 2)
-            err(e, "not takes 1 operand");
-        TV a = genExpr(e.at(1));
-        IrValue v = coerce(a, Type::Int, e);
-        if (v.isConst())
-            return TV::make(
-                IrValue::makeInt(v.constant().asInt() == 0), Type::Int);
-        IrInstr i;
-        i.op = Opcode::INOT;
-        i.dst = fn().newReg(Type::Int);
-        i.srcs = {v};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return TV::make(IrValue::makeReg(d), Type::Int);
-    }
-
-    // Non-short-circuit and/or over 0/1 values.
-    if (e.size() < 3)
-        err(e, strCat(s, " needs 2+ operands"));
-    const Opcode opc = s == "and" ? Opcode::IAND : Opcode::IOR;
-    IrValue acc = coerce(genExpr(e.at(1)), Type::Int, e);
-    for (std::size_t i = 2; i < e.size(); ++i) {
-        IrValue rhs = coerce(genExpr(e.at(i)), Type::Int, e);
-        if (acc.isConst() && rhs.isConst()) {
-            const std::int64_t x = acc.constant().asInt();
-            const std::int64_t y = rhs.constant().asInt();
-            acc = IrValue::makeInt(opc == Opcode::IAND ? (x & y)
-                                                       : (x | y));
-            continue;
-        }
-        acc = emitBin(opc, acc, rhs, Type::Int);
-    }
-    return TV::make(acc, Type::Int);
+    if (args.size() == 1)
+        return TV::make(emitOp(opc, {acc}, result), result);
+    for (std::size_t i = 1; i < args.size(); ++i)
+        acc = emitBin(opc, acc, coerce(args[i], t, e), result);
+    return TV::make(acc, result);
 }
 
 TV
@@ -1529,12 +1439,8 @@ FuncBuilder::genExpr(const Sexpr& e)
         err(e, strCat("cannot compile form ", e.toString()));
 
     const std::string& head = e.at(0).symbol();
-    if (isArith(head))
-        return genArith(e);
-    if (isComparison(head))
-        return genCompare(e);
-    if (head == "and" || head == "or" || head == "not")
-        return genLogic(e);
+    if (const Operator* op = findOperator(e))
+        return genOperator(e, *op);
     if (head == "float")
         return TV::make(coerce(genExpr(e.at(1)), Type::Float, e),
                         Type::Float);
@@ -1542,16 +1448,8 @@ FuncBuilder::genExpr(const Sexpr& e)
         TV a = genExpr(e.at(1));
         if (a.type == Type::Int)
             return a;
-        if (a.val.isConst())
-            return TV::make(IrValue::makeInt(a.val.constant().asInt()),
-                            Type::Int);
-        IrInstr i;
-        i.op = Opcode::FTOI;
-        i.dst = fn().newReg(Type::Int);
-        i.srcs = {a.val};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return TV::make(IrValue::makeReg(d), Type::Int);
+        return TV::make(emitOp(Opcode::FTOI, {requireValue(a, e)}, Type::Int),
+                        Type::Int);
     }
     if (head == "let")
         return genLet(e);
@@ -1695,126 +1593,76 @@ evalConstExpr(const Sexpr& e,
 
     const std::string& head = e.at(0).symbol();
 
-    // Short-circuit forms evaluate lazily.
+    // `if` evaluates only the chosen arm.
     if (head == "if") {
         const isa::Value c = evalConstExpr(e.at(1), env);
+        if (c.isFloat())
+            err(e, "if condition must be an integer expression");
         if (c.truthy())
             return evalConstExpr(e.at(2), env);
         if (e.size() >= 4)
             return evalConstExpr(e.at(3), env);
         return isa::Value::makeInt(0);
     }
-    if (head == "and") {
-        for (std::size_t i = 1; i < e.size(); ++i)
-            if (!evalConstExpr(e.at(i), env).truthy())
-                return isa::Value::makeInt(0);
-        return isa::Value::makeInt(1);
-    }
-    if (head == "or") {
-        for (std::size_t i = 1; i < e.size(); ++i)
-            if (evalConstExpr(e.at(i), env).truthy())
-                return isa::Value::makeInt(1);
-        return isa::Value::makeInt(0);
-    }
 
     std::vector<isa::Value> args;
-    for (std::size_t i = 1; i < e.size(); ++i)
+    bool any_float = false;
+    for (std::size_t i = 1; i < e.size(); ++i) {
         args.push_back(evalConstExpr(e.at(i), env));
+        any_float |= args.back().isFloat();
+    }
 
-    auto all_int = [&] {
-        for (const auto& a : args)
-            if (a.isFloat())
-                return false;
-        return true;
-    };
+    if (const Operator* op = findOperator(e)) {
+        const Opcode opc = resolveOpcode(*op, any_float, e);
+        auto operand = [&](const isa::Value& v) {
+            return any_float ? isa::Value::makeFloat(v.asFloat()) : v;
+        };
+        std::optional<isa::Value> acc = operand(args[0]);
+        if (args.size() == 1)
+            acc = isa::foldAlu(opc, {*acc});
+        for (std::size_t i = 1; acc && i < args.size(); ++i)
+            acc = isa::foldAlu(opc, {*acc, operand(args[i])});
+        if (!acc)
+            err(e, "constant division by zero");
+        return *acc;
+    }
 
-    auto fold_int = [&](auto f) {
-        std::int64_t acc = args.at(0).asInt();
+    if (args.empty())
+        err(e, strCat(head, " needs an operand"));
+    const isa::Value& x = args[0];
+    if (head == "float")
+        return isa::Value::makeFloat(x.asFloat());
+    if (head == "int")
+        return isa::Value::makeInt(x.asInt());
+    if (head == "sin")
+        return isa::Value::makeFloat(std::sin(x.asFloat()));
+    if (head == "cos")
+        return isa::Value::makeFloat(std::cos(x.asFloat()));
+    if (head == "sqrt")
+        return isa::Value::makeFloat(std::sqrt(x.asFloat()));
+    if (head == "exp")
+        return isa::Value::makeFloat(std::exp(x.asFloat()));
+    if (head == "abs")
+        return x.isFloat()
+            ? isa::Value::makeFloat(std::fabs(x.asFloat()))
+            : isa::Value::makeInt(x.asInt() < 0 ? isa::wrapNeg(x.asInt())
+                                                : x.asInt());
+    auto fold = [&](auto pick) {
+        if (!any_float) {
+            std::int64_t acc = x.asInt();
+            for (std::size_t i = 1; i < args.size(); ++i)
+                acc = pick(acc, args[i].asInt());
+            return isa::Value::makeInt(acc);
+        }
+        double acc = x.asFloat();
         for (std::size_t i = 1; i < args.size(); ++i)
-            acc = f(acc, args[i].asInt());
-        return isa::Value::makeInt(acc);
-    };
-    auto fold_float = [&](auto f) {
-        double acc = args.at(0).asFloat();
-        for (std::size_t i = 1; i < args.size(); ++i)
-            acc = f(acc, args[i].asFloat());
+            acc = pick(acc, args[i].asFloat());
         return isa::Value::makeFloat(acc);
     };
-
-    if (head == "-" && args.size() == 1)
-        return args[0].isFloat()
-            ? isa::Value::makeFloat(-args[0].asFloat())
-            : isa::Value::makeInt(isa::wrapNeg(args[0].asInt()));
-    if (head == "+")
-        return all_int() ? fold_int(isa::wrapAdd)
-                         : fold_float([](auto a, auto b) { return a + b; });
-    if (head == "-")
-        return all_int() ? fold_int(isa::wrapSub)
-                         : fold_float([](auto a, auto b) { return a - b; });
-    if (head == "*")
-        return all_int() ? fold_int(isa::wrapMul)
-                         : fold_float([](auto a, auto b) { return a * b; });
-    auto zero_divisor = [&] {
-        for (std::size_t i = 1; i < args.size(); ++i)
-            if (args[i].asInt() == 0)
-                return true;
-        return false;
-    };
-    if (head == "/") {
-        if (all_int()) {
-            if (zero_divisor())
-                err(e, "constant division by zero");
-            return fold_int(isa::wrapDiv);
-        }
-        return fold_float([](auto a, auto b) { return a / b; });
-    }
-    if (head == "mod") {
-        if (!all_int() || zero_divisor())
-            err(e, "mod needs nonzero integer constants");
-        return fold_int(isa::wrapMod);
-    }
-    if (head == "float")
-        return isa::Value::makeFloat(args.at(0).asFloat());
-    if (head == "int")
-        return isa::Value::makeInt(args.at(0).asInt());
-    if (head == "sin")
-        return isa::Value::makeFloat(std::sin(args.at(0).asFloat()));
-    if (head == "cos")
-        return isa::Value::makeFloat(std::cos(args.at(0).asFloat()));
-    if (head == "sqrt")
-        return isa::Value::makeFloat(std::sqrt(args.at(0).asFloat()));
-    if (head == "exp")
-        return isa::Value::makeFloat(std::exp(args.at(0).asFloat()));
-    if (head == "abs")
-        return args.at(0).isFloat()
-            ? isa::Value::makeFloat(std::fabs(args.at(0).asFloat()))
-            : isa::Value::makeInt(std::llabs(args.at(0).asInt()));
-    auto cmp = [&](auto f) {
-        return isa::Value::makeInt(
-            f(args.at(0).asFloat(), args.at(1).asFloat()) ? 1 : 0);
-    };
-    if (head == "<")
-        return cmp([](double a, double b) { return a < b; });
-    if (head == "<=")
-        return cmp([](double a, double b) { return a <= b; });
-    if (head == "=")
-        return cmp([](double a, double b) { return a == b; });
-    if (head == "!=")
-        return cmp([](double a, double b) { return a != b; });
-    if (head == ">")
-        return cmp([](double a, double b) { return a > b; });
-    if (head == ">=")
-        return cmp([](double a, double b) { return a >= b; });
-    if (head == "not")
-        return isa::Value::makeInt(args.at(0).truthy() ? 0 : 1);
     if (head == "min")
-        return all_int()
-            ? fold_int([](auto a, auto b) { return a < b ? a : b; })
-            : fold_float([](auto a, auto b) { return a < b ? a : b; });
+        return fold([](auto a, auto b) { return a < b ? a : b; });
     if (head == "max")
-        return all_int()
-            ? fold_int([](auto a, auto b) { return a > b ? a : b; })
-            : fold_float([](auto a, auto b) { return a > b ? a : b; });
+        return fold([](auto a, auto b) { return a > b ? a : b; });
     err(e, strCat("not a compile-time constant function: ", head));
 }
 

@@ -25,6 +25,16 @@
  *   (forall (v lo hi) body...)           spawn per index and join
  *   (mark n)                             statistics marker
  *
+ * Operators are machine operations (isa/alu.hh defines what each
+ * computes): arithmetic wraps in 64-bit two's complement, a float
+ * operand makes an arithmetic or comparison operator the float form
+ * (its integer operands converted), comparisons yield 0 or 1, and
+ * and/or/not take integers only: and/or are bitwise and evaluate
+ * every operand (no short circuit), not is 1 for 0 and 0 otherwise.
+ * An expression over constants is folded by that same definition, so
+ * it evaluates exactly as it would at run time; only an integer
+ * division or modulo by zero is left to trap at run time.
+ *
  * Loop :unroll requires compile-time-constant bounds; this is how the
  * paper's "loops must be unrolled by hand" Ideal-mode programs are
  * expressed. Procedures are inlined at every call site ("procedures
@@ -64,11 +74,17 @@ Module buildModule(const std::string& source,
                    const FrontendOptions& opts = {});
 
 /**
- * Evaluate a compile-time constant expression (used for array
- * initializers and unrolled loop bounds). Supports arithmetic,
- * comparisons, float/int casts, and sin/cos/sqrt/exp/abs/min/max.
+ * Evaluate a compile-time constant expression (used for defvar and
+ * array initializers and unrolled loop bounds). The operators have
+ * their run-time semantics and operand rules (see above); further
+ * supported are (if c a [b]), which takes an integer c and evaluates
+ * only the chosen arm,
+ * float/int casts, and sin/cos/sqrt/exp/abs/min/max.
  *
  * @param env constant bindings visible to the expression
+ * @throws CompileError on a form that is not constant, on operand
+ *         rules a compiled expression would break, and on an integer
+ *         division or modulo by zero
  */
 isa::Value evalConstExpr(
     const lang::Sexpr& e,

@@ -73,6 +73,16 @@ IrInstr::isTerminator() const
     return isa::opcodeIsBranch(op) || op == isa::Opcode::ETHR;
 }
 
+bool
+IrInstr::isSyncMemory() const
+{
+    if (op == isa::Opcode::LD)
+        return !(flavor == isa::MemFlavor::plainLoad());
+    if (op == isa::Opcode::ST)
+        return !(flavor == isa::MemFlavor::plainStore());
+    return false;
+}
+
 std::string
 IrInstr::toString() const
 {

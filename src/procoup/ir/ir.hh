@@ -93,6 +93,11 @@ struct IrInstr
     bool isTerminator() const;
     bool isMemory() const { return isa::opcodeIsMemory(op); }
 
+    /** An LD/ST with a synchronizing flavor: anything but Table 1's
+     *  plain load or plain store. Orders against every other memory
+     *  reference (optimizer and scheduler alike). */
+    bool isSyncMemory() const;
+
     std::string toString() const;
 };
 

@@ -1,6 +1,7 @@
 #include "procoup/isa/asmtext.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -13,13 +14,16 @@ namespace isa {
 
 namespace {
 
-/** Print a value so the parser can recover its tag. */
+/** Print a value so the parser can recover its tag and, for a float,
+ *  the exact double (the shortest text that reads back to it). */
 std::string
 valueText(const Value& v)
 {
     if (!v.isFloat())
         return strCat(v.rawInt());
-    std::string s = strCat(v.rawFloat());
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v.rawFloat());
+    std::string s(buf, res.ptr);
     if (s.find('.') == std::string::npos &&
             s.find('e') == std::string::npos &&
             s.find("inf") == std::string::npos &&

@@ -23,8 +23,11 @@
  * Within a row, `fuN` binds the following operation to global function
  * unit N; destinations print before sources; `#v` is an immediate
  * (floats contain '.', 'e', or 'inf'); `@n` is a branch row target;
- * `fnK` a fork target; `mN` a mark id. printAssembly/parseAssembly
- * round-trip exactly.
+ * `fnK` a fork target; `mN` a mark id. A float prints as the
+ * shortest text that reads back to the same double, so
+ * printAssembly/parseAssembly round-trip exactly: a reparsed program
+ * runs to the same memory image and RunStats (tests/asmtext_test.cc
+ * checks every benchmark in every mode).
  */
 
 #include <string>

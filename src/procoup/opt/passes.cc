@@ -1,9 +1,11 @@
 #include "procoup/opt/passes.hh"
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <optional>
 
-#include "procoup/sim/alu.hh"
+#include "procoup/isa/alu.hh"
 #include "procoup/support/error.hh"
 
 namespace procoup {
@@ -52,22 +54,7 @@ isPureAlu(const IrInstr& i)
 bool
 isPlainLoad(const IrInstr& i)
 {
-    return i.op == Opcode::LD &&
-           i.flavor.pre == isa::MemPre::None &&
-           i.flavor.post == isa::MemPost::Leave;
-}
-
-/** A memory reference with synchronization semantics. */
-bool
-isSyncMemory(const IrInstr& i)
-{
-    if (!i.isMemory())
-        return false;
-    if (i.flavor.pre != isa::MemPre::None)
-        return true;
-    if (i.op == Opcode::LD)
-        return i.flavor.post != isa::MemPost::Leave;
-    return i.flavor.post != isa::MemPost::SetFull;
+    return i.op == Opcode::LD && !i.isSyncMemory();
 }
 
 /** Try to evaluate a pure op whose sources are all constants. */
@@ -80,12 +67,48 @@ foldInstr(const IrInstr& i)
             return std::nullopt;
         srcs.push_back(s.constant());
     }
-    if (i.op == Opcode::IDIV || i.op == Opcode::IMOD) {
-        if (srcs.size() == 2 && srcs[1].asInt() == 0)
-            return std::nullopt;  // keep the runtime trap
-    }
-    return sim::evalAlu(i.op, srcs);
+    return isa::foldAlu(i.op, srcs);
 }
+
+/** What a CSE candidate computes: its opcode, its sources (registers
+ *  by id, constants by tag and exact bits) and, for a load, the symbol
+ *  and flavor. Two instructions with equal keys compute equal values
+ *  while no source is redefined (and, for loads, no store aliases). */
+struct ExprKey
+{
+    /** (0, vreg), (1, integer bits) or (2, double bits). */
+    using Src = std::pair<int, std::uint64_t>;
+
+    Opcode op;
+    std::vector<Src> srcs;
+    std::string sym;
+    isa::MemPre pre;
+    isa::MemPost post;
+
+    explicit ExprKey(const IrInstr& i)
+        : op(i.op), sym(i.memSym), pre(i.flavor.pre), post(i.flavor.post)
+    {
+        for (const auto& s : i.srcs) {
+            if (s.isReg()) {
+                srcs.emplace_back(0, s.reg());
+                continue;
+            }
+            const Value& c = s.constant();
+            srcs.push_back(c.isFloat()
+                ? Src{2, std::bit_cast<std::uint64_t>(c.rawFloat())}
+                : Src{1, static_cast<std::uint64_t>(c.rawInt())});
+        }
+    }
+
+    bool
+    reads(std::uint32_t reg) const
+    {
+        return std::find(srcs.begin(), srcs.end(), Src{0, reg}) !=
+               srcs.end();
+    }
+
+    auto operator<=>(const ExprKey&) const = default;
+};
 
 } // namespace
 
@@ -217,41 +240,25 @@ commonSubexpressionElimination(ThreadFunc& func)
 
     for (auto& b : func.blocks) {
         // Available expressions: key -> defining vreg.
-        std::map<std::string, std::uint32_t> avail;
-        // Keys that must be killed when a vreg is redefined.
-        std::multimap<std::uint32_t, std::string> by_src;
+        std::map<ExprKey, std::uint32_t> avail;
 
-        auto key_of = [](const IrInstr& i) {
-            std::string k = isa::opcodeName(i.op);
-            for (const auto& s : i.srcs)
-                k += "|" + s.toString();
-            if (i.isMemory())
-                k += "|" + i.memSym + "|" + i.flavor.toString();
-            return k;
-        };
-
+        // Forget the loads a store to @p sym may read ("" = any).
         auto kill_loads = [&](const std::string& sym) {
-            for (auto it = avail.begin(); it != avail.end();) {
-                const bool is_load = it->first.rfind("ld|", 0) == 0;
-                const bool aliases =
-                    sym.empty() ||
-                    it->first.find("|" + sym + "|") != std::string::npos;
-                if (is_load && aliases)
-                    it = avail.erase(it);
-                else
-                    ++it;
-            }
+            std::erase_if(avail, [&](const auto& e) {
+                const ExprKey& k = e.first;
+                return k.op == Opcode::LD &&
+                       (sym.empty() || k.sym.empty() || k.sym == sym);
+            });
         };
 
         for (auto& i : b.instrs) {
-            const bool cseable =
-                (isPureAlu(i) && i.op != Opcode::MOV) || isPlainLoad(i);
+            std::optional<ExprKey> key;
+            if ((isPureAlu(i) && i.op != Opcode::MOV) || isPlainLoad(i))
+                key.emplace(i);
 
             bool rewritten = false;
-            std::string key;
-            if (cseable) {
-                key = key_of(i);
-                auto it = avail.find(key);
+            if (key) {
+                auto it = avail.find(*key);
                 if (it != avail.end() &&
                         func.regType(it->second) == func.regType(i.dst)) {
                     // Duplicate: rewrite as a copy of the prior result.
@@ -265,46 +272,23 @@ commonSubexpressionElimination(ThreadFunc& func)
             }
 
             // Invalidation rules.
-            if (i.op == Opcode::ST) {
-                if (isSyncMemory(i))
-                    kill_loads("");
-                else
-                    kill_loads(i.memSym);
-            } else if (i.op == Opcode::LD && isSyncMemory(i)) {
+            if (i.op == Opcode::ST)
+                kill_loads(i.isSyncMemory() ? "" : i.memSym);
+            else if (i.op == Opcode::FORK ||
+                     (i.op == Opcode::LD && i.isSyncMemory()))
                 kill_loads("");
-            } else if (i.op == Opcode::FORK) {
-                kill_loads("");
-            }
 
-            if (i.dst != ir::kNoReg) {
-                // Redefinition kills expressions reading the old value
-                // and the expression that defined it.
-                auto range = by_src.equal_range(i.dst);
-                for (auto it = range.first; it != range.second; ++it)
-                    avail.erase(it->second);
-                by_src.erase(i.dst);
-                for (auto it = avail.begin(); it != avail.end();) {
-                    if (it->second == i.dst)
-                        it = avail.erase(it);
-                    else
-                        ++it;
-                }
-            }
+            // Redefinition kills expressions reading the old value and
+            // the expression that defined it.
+            if (i.dst != ir::kNoReg)
+                std::erase_if(avail, [&](const auto& e) {
+                    return e.second == i.dst || e.first.reads(i.dst);
+                });
 
             // Make the (surviving) expression available, unless it
             // consumes the register it defines (x = x * x).
-            if (cseable && !rewritten) {
-                bool self_ref = false;
-                for (const auto& s : i.srcs)
-                    if (s.isReg() && s.reg() == i.dst)
-                        self_ref = true;
-                if (!self_ref) {
-                    avail[key] = i.dst;
-                    for (const auto& s : i.srcs)
-                        if (s.isReg())
-                            by_src.emplace(s.reg(), key);
-                }
-            }
+            if (key && !rewritten && !key->reads(i.dst))
+                avail[*key] = i.dst;
         }
     }
     return changed;

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "procoup/config/validate.hh"
-#include "procoup/sim/alu.hh"
+#include "procoup/isa/alu.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
@@ -317,7 +317,7 @@ Simulator::executeIssue(const IssueDecision& d)
         r.thread = t.id();
         r.srcCluster = fu.cluster;
         r.dsts = RegList(op.dsts.begin(), op.dsts.end());
-        r.value = evalAlu(op.opcode, srcs);
+        r.value = isa::evalAlu(op.opcode, srcs);
         // Latency 0 behaves as 1: results were only ever collected at
         // the top of the *next* cycle.
         int lat = fu.latency < 1 ? 1 : fu.latency;

@@ -46,19 +46,24 @@ TEST(AsmText, PrintsDirectivesAndRows)
 
 TEST(AsmText, FloatImmediatesKeepTheirTag)
 {
-    ProgramBuilder pb(6);
-    auto t = pb.thread("main", {2});
-    t.rowOp(testutil::fuFPU(0),
-            op::alu(Opcode::FADD, rr(0, 0), op::fimm(2.0),
-                    op::fimm(0.5)));
-    t.rowOp(testutil::fuBR0(), op::ethr());
-    const Program p = pb.finish(0);
-
-    const Program q = parseAssembly(printAssembly(p));
-    const auto& add = q.threads[0].instructions[0].slots[0].op;
-    ASSERT_TRUE(add.srcs[0].isImm());
-    EXPECT_TRUE(add.srcs[0].imm().isFloat());
-    EXPECT_DOUBLE_EQ(add.srcs[0].imm().rawFloat(), 2.0);
+    // Tag and exact double survive, in immediates and .init words.
+    for (double d : {2.0, 0.5, 0.1000001, 1.0 / 3.0, 1e300, -2.5e-310,
+                     100000.0, -0.0, 9007199254740993.0}) {
+        ProgramBuilder pb(6);
+        pb.init(pb.data("x", 1), Value::makeFloat(d));
+        auto t = pb.thread("main", {2});
+        t.rowOp(testutil::fuFPU(0),
+                op::alu(Opcode::FADD, rr(0, 0), op::fimm(d), op::fimm(d)));
+        t.rowOp(testutil::fuBR0(), op::ethr());
+        const Program q = parseAssembly(printAssembly(pb.finish(0)));
+        const auto& add = q.threads[0].instructions[0].slots[0].op;
+        ASSERT_TRUE(add.srcs[0].isImm());
+        EXPECT_TRUE(testutil::sameBits(add.srcs[0].imm(),
+                                       Value::makeFloat(d))) << d;
+        ASSERT_EQ(q.memInits.size(), 1u);
+        EXPECT_TRUE(testutil::sameBits(q.memInits[0].value,
+                                       Value::makeFloat(d))) << d;
+    }
 }
 
 TEST(AsmText, ParsesBranchForkAndMarkAnnotations)
@@ -153,20 +158,28 @@ TEST(AsmText, RoundTripsEveryCompiledBenchmark)
 
 TEST(AsmText, ReparsedProgramExecutesIdentically)
 {
+    // Float immediates and .init values must survive the text exactly;
+    // printed to 6 significant digits, FFT and Stencil fail verify.
     const auto machine = config::baseline();
     core::CoupledNode node(machine);
-    const auto& b = benchmarks::byName("Matrix");
-    const auto compiled =
-        node.compile(b.forMode(core::SimMode::Coupled),
-                     core::SimMode::Coupled);
-
-    const auto direct = node.run(compiled.program);
-    const auto reparsed =
-        node.run(parseAssembly(printAssembly(compiled.program)));
-    EXPECT_EQ(direct.stats.cycles, reparsed.stats.cycles);
-    EXPECT_EQ(direct.stats.totalOps, reparsed.stats.totalOps);
-    std::string why;
-    EXPECT_TRUE(benchmarks::verify("Matrix", reparsed, &why)) << why;
+    for (const auto& b : benchmarks::all()) {
+        for (auto mode : core::allSimModes()) {
+            if (mode == core::SimMode::Ideal && !b.hasIdeal())
+                continue;
+            SCOPED_TRACE(b.name + "/" + core::simModeName(mode));
+            const auto compiled = node.compile(b.forMode(mode), mode);
+            const auto direct = node.run(compiled.program);
+            const auto reparsed =
+                node.run(parseAssembly(printAssembly(compiled.program)));
+            EXPECT_TRUE(direct.stats == reparsed.stats);
+            ASSERT_EQ(direct.memory.size(), reparsed.memory.size());
+            for (std::size_t w = 0; w < direct.memory.size(); ++w)
+                ASSERT_TRUE(testutil::sameBits(direct.memory[w], reparsed.memory[w]))
+                    << "memory word " << w;
+            std::string why;
+            EXPECT_TRUE(benchmarks::verify(b.name, reparsed, &why)) << why;
+        }
+    }
 }
 
 } // namespace

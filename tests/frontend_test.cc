@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "procoup/ir/frontend.hh"
@@ -345,6 +346,14 @@ TEST(Frontend, ConstExprEvaluator)
         evalConstExpr(bound[0], {{"i", isa::Value::makeInt(5)}}).asInt(),
         10);
     EXPECT_THROW(evalConstExpr(bound[0], {}), CompileError);
+    // abs wraps like unary minus; a function needs its operand; an if
+    // condition is an integer, as in compiled code.
+    const auto edge =
+        lang::parse("(abs -9223372036854775808) (sin) (if 0.5 1 2)");
+    EXPECT_EQ(evalConstExpr(edge[0], {}).asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_THROW(evalConstExpr(edge[1], {}), CompileError);
+    EXPECT_THROW(evalConstExpr(edge[2], {}), CompileError);
 }
 
 TEST(Frontend, UnknownVariableRejected)

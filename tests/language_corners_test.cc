@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
+
 #include "procoup/config/presets.hh"
 #include "procoup/core/node.hh"
+#include "procoup/ir/frontend.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/strings.hh"
+#include "test_util.hh"
 
 namespace procoup {
 namespace {
@@ -225,6 +231,167 @@ TEST(LanguageCorners, ForallSingleIteration)
         "(defarray a (1))"
         "(defun main () (forall (i 0 1) (aset a i 9.0)))");
     EXPECT_DOUBLE_EQ(r.value("a", 0), 9.0);
+}
+
+// --- One evaluator ----------------------------------------------------
+//
+// An operator computes the same word wherever it is evaluated: in a
+// defarray :init (the constant evaluator), over literals (folded by the
+// frontend) and over defvar operands (run on the simulated machine).
+// Where one site rejects a case, all three reject it with one message.
+
+/** A site's result: the word, or the CompileError without location. */
+struct SiteResult
+{
+    std::optional<isa::Value> word;
+    std::string error;
+};
+
+std::string
+withoutLocation(const std::string& msg)
+{
+    const auto at = msg.rfind(" (at ");
+    return at == std::string::npos ? msg : msg.substr(0, at);
+}
+
+bool
+sameResult(const SiteResult& a, const SiteResult& b)
+{
+    if (!a.word || !b.word)
+        return !a.word && !b.word && a.error == b.error;
+    return testutil::sameBits(*a.word, *b.word);
+}
+
+std::string
+describe(const SiteResult& r)
+{
+    if (!r.word)
+        return "CompileError: " + r.error;
+    return strCat(r.word->isFloat() ? "float " : "int ",
+                  r.word->isFloat()
+                      ? strCat(std::bit_cast<std::uint64_t>(
+                            r.word->rawFloat()))
+                      : r.word->toString());
+}
+
+/** The CompileError @p source raises in the frontend, or "". */
+std::string
+frontendError(const std::string& source)
+{
+    try {
+        ir::buildModule(source);
+        return "";
+    } catch (const CompileError& e) {
+        return withoutLocation(e.what());
+    }
+}
+
+TEST(LanguageCorners, EveryEvaluationSiteComputesOperatorsAlike)
+{
+    const std::vector<std::string> operands = {
+        "0", "1", "-1", "2", "9223372036854775807",
+        "-9223372036854775808", "9007199254740992", "9007199254740993",
+        "0.5", "1e300"};
+    const std::vector<std::string> binary = {
+        "+", "-", "*", "/", "mod", "<", "<=", "=", "!=", ">", ">=",
+        "and", "or"};
+
+    struct Case
+    {
+        std::string op;
+        std::vector<std::string> args;
+        SiteResult init;
+        std::string literal;  ///< (op args...) over literals
+        std::string runtime;  ///< the same over defvars a<k>, b<k>
+    };
+    std::vector<Case> cases;
+    for (const auto& a : operands) {
+        cases.push_back({"not", {a}, {}, "", ""});
+        cases.push_back({"-", {a}, {}, "", ""});
+        for (const auto& b : operands) {
+            const bool int_zero_divisor =
+                (b == "0") && a.find_first_of(".e") == std::string::npos;
+            for (const auto& op : binary)
+                if (!((op == "/" || op == "mod") && int_zero_divisor))
+                    cases.push_back({op, {a, b}, {}, "", ""});
+        }
+    }
+
+    // Site 1, the constant evaluator; its result type picks the type of
+    // the result cell r<k> that sites 2 and 3 store to.
+    std::string literal_defs, literal_body, runtime_defs, runtime_body;
+    std::vector<std::size_t> ran;
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+        Case& c = cases[k];
+        std::string lit = "(" + c.op, run = "(" + c.op;
+        for (std::size_t j = 0; j < c.args.size(); ++j) {
+            lit += " " + c.args[j];
+            run += strCat(" ", j == 0 ? "a" : "b", k);
+        }
+        c.literal = lit + ")";
+        c.runtime = run + ")";
+        try {
+            const auto mod = ir::buildModule(
+                "(defarray r (1) :int :init (" + c.literal +
+                "))(defun main () 0)");
+            c.init.word = mod.findGlobal("r")->inits.at(0).second;
+        } catch (const CompileError& e) {
+            c.init.error = withoutLocation(e.what());
+        }
+
+        std::string vars;
+        for (std::size_t j = 0; j < c.args.size(); ++j)
+            vars += strCat("(defvar ", j == 0 ? "a" : "b", k, " ",
+                           c.args[j], ")");
+        const std::string cell = strCat("(defvar r", k, " ",
+            c.init.word && c.init.word->isFloat() ? "0.0" : "0", ")");
+        const std::string lit_set = strCat("(set r", k, " ", c.literal, ")");
+        const std::string run_set = strCat("(set r", k, " ", c.runtime, ")");
+
+        // Sites 2 and 3 compile alone first; the cases every site
+        // accepts then run together, one program per site.
+        const SiteResult lit_err{
+            std::nullopt,
+            frontendError(cell + "(defun main () " + lit_set + ")")};
+        const SiteResult run_err{
+            std::nullopt,
+            frontendError(vars + cell + "(defun main () " + run_set + ")")};
+        if (c.init.word && lit_err.error.empty() && run_err.error.empty()) {
+            literal_defs += cell;
+            literal_body += lit_set;
+            runtime_defs += vars + cell;
+            runtime_body += run_set;
+            ran.push_back(k);
+            continue;
+        }
+        EXPECT_TRUE(sameResult(c.init, lit_err) &&
+                    sameResult(c.init, run_err))
+            << c.literal << ": init " << describe(c.init) << "; literal "
+            << (lit_err.error.empty() ? "compiles" : lit_err.error)
+            << "; runtime "
+            << (run_err.error.empty() ? "compiles" : run_err.error);
+    }
+
+    const core::CoupledNode node(config::baseline());
+    const auto literal_run = node.runSource(
+        literal_defs + "(defun main () " + literal_body + ")",
+        SimMode::Seq);
+    const auto runtime_run = node.runSource(
+        runtime_defs + "(defun main () " + runtime_body + ")",
+        SimMode::Seq);
+    auto cell = [](const core::RunResult& r, std::size_t k) {
+        const auto& sym = r.compiled.program.symbol(strCat("r", k));
+        return SiteResult{r.memory.at(sym.base), ""};
+    };
+    for (std::size_t k : ran) {
+        const Case& c = cases[k];
+        const SiteResult lit = cell(literal_run, k);
+        const SiteResult run = cell(runtime_run, k);
+        EXPECT_TRUE(sameResult(c.init, lit) && sameResult(c.init, run))
+            << c.literal << ": init " << describe(c.init) << "; literal "
+            << describe(lit) << "; runtime " << describe(run);
+    }
+    EXPECT_GT(ran.size(), cases.size() / 2);
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "procoup/config/presets.hh"
+#include "procoup/core/node.hh"
 #include "procoup/ir/frontend.hh"
 #include "procoup/opt/liveness.hh"
 #include "procoup/opt/passes.hh"
@@ -157,6 +159,23 @@ TEST(Opt, CseStopsAtSynchronizingReference)
             if (i.op == Opcode::LD && i.memSym == "a")
                 ++loads_of_a;
     EXPECT_EQ(loads_of_a, 2);
+}
+
+TEST(Opt, CseKeepsNearbyFloatConstantsApart)
+{
+    // The two constants agree in their first six digits; an expression
+    // key built from printed text would merge the two fadds.
+    const std::string src =
+        "(defvar a 0.5)(defvar d 0.0)"
+        "(defun main ()"
+        "  (set d (* 10000000.0 (- (+ a 0.1000002) (+ a 0.1000001)))))";
+    Module m = build(src);
+    opt::optimize(m);
+    EXPECT_EQ(countOps(m.funcs[0], Opcode::FADD), 2);
+
+    const core::CoupledNode node(config::baseline());
+    const auto r = node.runSource(src, core::SimMode::Coupled);
+    EXPECT_NEAR(r.value("d"), 1.0, 1e-6);
 }
 
 TEST(Opt, DceRemovesUnusedComputation)

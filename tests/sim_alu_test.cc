@@ -6,8 +6,8 @@
 #include <limits>
 
 #include "procoup/config/presets.hh"
+#include "procoup/isa/alu.hh"
 #include "procoup/sched/compiler.hh"
-#include "procoup/sim/alu.hh"
 #include "procoup/sim/simulator.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -17,7 +17,7 @@ namespace {
 
 using isa::Opcode;
 using isa::Value;
-using sim::evalAlu;
+using isa::evalAlu;
 
 constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();

@@ -36,7 +36,7 @@
 #include "procoup/config/validate.hh"
 #include "procoup/fault/fault.hh"
 #include "procoup/isa/program.hh"
-#include "procoup/sim/alu.hh"
+#include "procoup/isa/alu.hh"
 #include "procoup/sim/interconnect.hh"
 #include "procoup/sim/memory.hh"
 #include "procoup/sim/opcache.hh"
@@ -490,7 +490,7 @@ class SlowReferenceSimulator
             r.thread = t.id();
             r.srcCluster = fu.cluster;
             r.dsts = op.dsts;
-            r.value = sim::evalAlu(op.opcode, srcs);
+            r.value = isa::evalAlu(op.opcode, srcs);
             inFlight.push_back(std::move(r));
             break;
           }

@@ -4,8 +4,8 @@
 /**
  * @file
  * Shared helpers for the test suites: the baseline machine's
- * function-unit numbering, small program-building shortcuts, a
- * seeded byte mutator for decoder robustness loops, and a temporary
+ * function-unit numbering, small program-building shortcuts, exact
+ * word comparison, a seeded byte mutator for decoder robustness loops, and a temporary
  * directory that removes itself.
  *
  * Baseline machine layout (config::baseline()):
@@ -13,6 +13,7 @@
  *   cluster 4:     fu 12 = BR       cluster 5: fu 13 = BR
  */
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include <system_error>
 
 #include "procoup/config/presets.hh"
+#include "procoup/isa/value.hh"
 #include "procoup/support/rng.hh"
 
 namespace procoup {
@@ -36,6 +38,18 @@ rr(int cluster, int index)
 {
     return isa::RegRef{static_cast<std::uint16_t>(cluster),
                        static_cast<std::uint16_t>(index)};
+}
+
+/** Same tag and same bits: exact where Value::operator== is not
+ *  (a NaN equals itself, -0.0 differs from 0.0). */
+inline bool
+sameBits(const isa::Value& a, const isa::Value& b)
+{
+    if (a.isFloat() != b.isFloat())
+        return false;
+    return a.isFloat() ? std::bit_cast<std::uint64_t>(a.rawFloat()) ==
+                             std::bit_cast<std::uint64_t>(b.rawFloat())
+                       : a.rawInt() == b.rawInt();
 }
 
 /** @p bytes with one to four seeded-random bytes overwritten by
